@@ -18,7 +18,6 @@ import sys
 
 from .core import (
     FiniteMeasure,
-    GroundMetric,
     NumericError,
     ValidationError,
     config_distance,
@@ -30,7 +29,7 @@ from .drift import (
     drift_exact,
     drift_kernel_bound,
 )
-from .curvature import bound_single, bound_system, default_workers
+from .curvature import bound_single, bound_system, resolve_workers
 from . import models as M
 from .sim import (
     contraction_estimate,
@@ -45,6 +44,7 @@ from .config import (
     emit_report,
     load_config,
     parse_metric,
+    parse_site,
     read_measure_csv,
     resolve_model,
     write_plan_csv,
@@ -54,11 +54,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 EXIT_UNCONFIRMED = 4
-
-
-def _site(text: str):
-    value = float(text)
-    return int(value) if value.is_integer() else value
 
 
 def _config_from_args(args) -> RunConfig:
@@ -84,11 +79,6 @@ def _config_from_args(args) -> RunConfig:
     merged = dict(cfg.raw)
     merged.update(overrides)
     return RunConfig(raw=merged, defaults_applied=cfg.defaults_applied)
-
-
-def _workers(cfg: RunConfig) -> int:
-    w = cfg.get("workers")
-    return default_workers() if w is None else max(1, int(w))
 
 
 def _print(report: dict) -> None:
@@ -117,7 +107,7 @@ def cmd_wasserstein(args) -> int:
 
 def cmd_j(args) -> int:
     g = parse_metric(args.metric)
-    x, y = _site(args.x), _site(args.y)
+    x, y = parse_site(args.x), parse_site(args.y)
     m1 = read_measure_csv(args.m1)
     m2 = read_measure_csv(args.m2)
     if args.method == "exact":
@@ -144,7 +134,7 @@ def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
     rm = resolve_model(cfg)
     n = int(cfg["n_particles"])
-    workers = _workers(cfg)
+    workers = resolve_workers(cfg.get("workers"))
     if n == 1:
         report = bound_single(rm.kernel, rm.metric, interior=rm.interior,
                               n_workers=workers)
@@ -221,7 +211,7 @@ def _start_config(cfg: RunConfig):
     start = cfg.get("start")
     if start is None:
         raise ConfigError("config needs a start configuration")
-    return tuple(_site(str(s)) for s in start)
+    return tuple(parse_site(str(s)) for s in start)
 
 
 def _start_pairs(cfg: RunConfig):
@@ -229,7 +219,10 @@ def _start_pairs(cfg: RunConfig):
     if not pairs:
         raise ConfigError("config needs start_pairs")
     return [
-        (tuple(_site(str(s)) for s in y0), tuple(_site(str(s)) for s in z0))
+        (
+            tuple(parse_site(str(s)) for s in y0),
+            tuple(parse_site(str(s)) for s in z0),
+        )
         for y0, z0 in pairs
     ]
 
@@ -372,14 +365,9 @@ def cmd_verify(args) -> int:
     if args.bound_override is not None:
         bound = args.bound_override
         source = "override"
-    elif rm.closed_bound is not None:
+    else:
         bound = rm.closed_bound
         source = "closed_form"
-    else:
-        report = bound_single(rm.kernel, rm.metric, interior=rm.interior,
-                              n_workers=_workers(cfg))
-        bound = report.bound
-        source = report.certification
     fit = _run_contract(cfg, rm, bound)
     if args.csv:
         _write_fit_csv(args.csv, fit)
@@ -448,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("eigen", help="killed-chain eigenpair and series check")
-    _add_config_options(p, "margin")
+    _add_config_options(p)
     p.add_argument("--eta", default=None, help="write the eigenvector CSV here")
     p.set_defaults(func=cmd_eigen)
 
@@ -481,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_herd)
 
     p = sub.add_parser("verify", help="bound, fit, and verdict in one run")
-    _add_config_options(p, "seed", "horizon", "replicas", "n_particles",
-                        "workers")
+    _add_config_options(p, "seed", "horizon", "replicas", "n_particles")
     p.add_argument("--csv", default=None, help="write t,mean_d,se here")
     p.add_argument("--bound-override", type=float, default=None,
                    help="compare against this rate instead of the model bound")

@@ -91,7 +91,8 @@ def emit_report(payload: Mapping, format: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_site(text: str):
+def parse_site(text: str):
+    """A site from text: an integer when the value is integral, else a real."""
     value = float(text)
     return int(value) if value.is_integer() else value
 
@@ -108,7 +109,7 @@ def read_measure_csv(path: str) -> FiniteMeasure:
         for row in reader:
             if not row:
                 continue
-            atoms.append(_parse_site(row[0]))
+            atoms.append(parse_site(row[0]))
             weights.append(float(row[1]))
     return FiniteMeasure(atoms, weights)
 
@@ -506,7 +507,7 @@ class ResolvedModel:
     spec: object
     kernel: object
     metric: GroundMetric
-    closed_bound: float | None
+    closed_bound: float
     interior: tuple | None
 
 

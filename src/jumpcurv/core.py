@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Site = Union[int, float]
 Config = tuple
@@ -334,14 +334,6 @@ class GroundMetric:
         a, b = (x, y) if x <= y else (y, x)
         return self._base.interval_mass(a, b)
 
-    def line_position(self, x: Site) -> float:
-        """Signed coordinate on the line (cumulative weight for weighted_line)."""
-        if self.kind == "weighted_line":
-            return self._cums[x]
-        if self.kind == "measure_line":
-            return float(x)
-        raise ValidationError(f"{self.kind} metric has no line positions")
-
     def max_distance(self) -> float:
         """Diameter of the declared site set."""
         if self.sites is None:
@@ -387,4 +379,4 @@ def config_distance(a: Sequence[Site], b: Sequence[Site], g: GroundMetric) -> fl
         )
     if len(a) == 0:
         raise ValidationError("a configuration needs at least one particle")
-    return math.fsum(g.dist(x, y) for x, y in zip(a, b)) / len(a)
+    return math.fsum(map(g.dist, a, b)) / len(a)

@@ -17,11 +17,12 @@ independent of worker scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .core import (
     check_configuration,
     config_distance,
 )
-from .drift import drift_exact
+from .drift import augmented_pair, drift_exact
 from .transport import TransportPlan, optimal_plan
 
 #: sites within this many positions of a truncation edge are excluded from
@@ -46,11 +47,16 @@ DEFAULT_PAIR_CAP = 10**6
 WORKERS_ENV = "JUMPCURV_WORKERS"
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+def resolve_workers(n_workers: int | None = None) -> int:
+    """Worker processes for an engine run: ``n_workers``, else the
+    ``JUMPCURV_WORKERS`` environment variable, else 1; then at least 1 and at
+    most ``os.cpu_count()``."""
+    if n_workers is None:
+        try:
+            n_workers = int(os.environ.get(WORKERS_ENV, "1"))
+        except ValueError:
+            n_workers = 1
+    return max(1, min(int(n_workers), os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +98,23 @@ class SingleSiteKernel(JumpKernel):
             raise ValidationError(f"kernel has no measure at site {config[i]!r}")
 
 
-def _as_site_map(kernel, sites) -> Callable:
-    """Normalize a site->measure mapping / callable / kernel to a callable."""
+def _single_site_kernel(kernel, sites) -> SingleSiteKernel:
+    """Normalize a site->measure mapping / callable / kernel to a
+    SingleSiteKernel of precomputed measures (picklable, so worker processes
+    can take it)."""
     if isinstance(kernel, JumpKernel):
         if kernel.config_dependent:
             raise ValidationError(
                 "single-site enumeration needs a configuration-independent kernel"
             )
-        return lambda x: kernel.rate(0, (x,))
-    if isinstance(kernel, Mapping):
-        return lambda x: kernel[x]
-    if callable(kernel):
-        return kernel
-    raise ValidationError("kernel must be a mapping, callable or JumpKernel")
+        q = lambda x: kernel.rate(0, (x,))
+    elif isinstance(kernel, Mapping):
+        q = kernel.__getitem__
+    elif callable(kernel):
+        q = kernel
+    else:
+        raise ValidationError("kernel must be a mapping, callable or JumpKernel")
+    return SingleSiteKernel({x: q(x) for x in sites}, sites=sites)
 
 
 # ---------------------------------------------------------------------------
@@ -160,72 +170,7 @@ class _Best:
 
 
 # ---------------------------------------------------------------------------
-# single-particle engine
-# ---------------------------------------------------------------------------
-
-
-def bound_single(
-    kernel,
-    g: GroundMetric,
-    interior: Sequence | None = None,
-    n_workers: int | None = None,
-) -> CurvatureReport:
-    """Exact enumeration of drift/distance over ordered site pairs x != y.
-
-    ``interior`` restricts the certified supremum to pairs inside it (used
-    by truncated models, where pairs touching the truncation edge are biased
-    by missing jumps); pairs touching the complement are still scanned and
-    reported under ``search_stats["boundary_sup"]``.
-    """
-    sites = g.require_sites()
-    q = _as_site_map(kernel, sites)
-    interior_set = set(sites if interior is None else interior)
-    unknown = interior_set - set(sites)
-    if unknown:
-        raise ValidationError(f"interior contains unknown sites {sorted(unknown)!r}")
-
-    best = _Best()
-    boundary = _Best()
-    measures = {x: q(x) for x in sites}
-    pairs = 0
-    skipped = 0
-    for x in sites:
-        for y in sites:
-            if x == y:
-                continue
-            dist = g.dist(x, y)
-            if dist == 0.0:
-                skipped += 1
-                continue
-            pairs += 1
-            ratio = drift_exact(x, y, measures[x], measures[y], g).value / dist
-            if x in interior_set and y in interior_set:
-                best.offer(ratio, (x, y))
-            else:
-                boundary.offer(ratio, (x, y))
-    if best.witness is None:
-        raise ValidationError("no certified site pair with positive distance")
-    stats = {
-        "engine": "single",
-        "pairs_examined": pairs,
-        "pairs_skipped_zero_distance": skipped,
-        "interior_sites": len(interior_set),
-        "total_sites": len(sites),
-    }
-    if boundary.witness is not None:
-        stats["boundary_sup"] = boundary.value
-        stats["boundary_witness"] = boundary.witness
-    return CurvatureReport(
-        bound=-best.value,
-        sup_value=best.value,
-        witness=best.witness,
-        certification="exact_enumeration",
-        search_stats=stats,
-    )
-
-
-# ---------------------------------------------------------------------------
-# system engine
+# enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -253,33 +198,149 @@ def mean_drift(kernel: JumpKernel, cx: Config, cy: Config, g: GroundMetric,
     return total / n
 
 
-def _scan_system_range(args):
-    """Worker: scan ordered config pairs with flat indices in [lo, hi)."""
-    kernel, g, configs, lo, hi, interior_set = args
-    m = len(configs)
-    cache: dict = {}
+def _scan(kernel: JumpKernel, g: GroundMetric, pairs, interior_set, cache):
+    """The one scan body: drift/distance over ordered configuration pairs.
+
+    Equal pairs are skipped, pairs at distance zero are skipped and counted.
+    Pairs inside ``interior_set`` (None: every pair) feed the certified
+    maximum, the rest the boundary maximum.  ``cache`` is the drift cache
+    of :func:`mean_drift` (None: no cache).  Returns (best, boundary, pairs
+    examined, pairs skipped).
+    """
     best = _Best()
     boundary = _Best()
-    pairs = 0
+    examined = 0
     skipped = 0
-    for flat in range(lo, hi):
-        cx = configs[flat // m]
-        cy = configs[flat % m]
+    for cx, cy in pairs:
         if cx == cy:
             continue
         dist = config_distance(cx, cy, g)
         if dist == 0.0:
             skipped += 1
             continue
-        pairs += 1
+        examined += 1
         ratio = mean_drift(kernel, cx, cy, g, cache) / dist
         if interior_set is None or (
-            all(x in interior_set for x in cx) and all(y in interior_set for y in cy)
+            interior_set.issuperset(cx) and interior_set.issuperset(cy)
         ):
             best.offer(ratio, (cx, cy))
         else:
             boundary.offer(ratio, (cx, cy))
-    return best.value, best.witness, boundary.value, boundary.witness, pairs, skipped
+    return best, boundary, examined, skipped
+
+
+def _scan_range(args):
+    """Worker: scan the ordered pairs of ``configs`` with flat indices in
+    [lo, hi)."""
+    kernel, g, configs, lo, hi, interior_set, cached = args
+    pairs = itertools.islice(itertools.product(configs, repeat=2), lo, hi)
+    return _scan(kernel, g, pairs, interior_set, {} if cached else None)
+
+
+def _exhaustive(kernel, g, configs, interior_set, n_workers):
+    """All ordered pairs of ``configs``, in contiguous flat-index ranges, one
+    per worker; the merge is independent of the split."""
+    m = len(configs)
+    # with one particle no (x_i, y_i) pair repeats, so a drift cache never hits
+    cached = m > 0 and len(configs[0]) > 1
+    jobs = [
+        (kernel, g, configs, lo, hi, interior_set, cached)
+        for lo, hi in _split_range(m * m, n_workers)
+    ]
+    if n_workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(_scan_range, jobs))
+    else:
+        results = [_scan_range(job) for job in jobs]
+    best = _Best()
+    boundary = _Best()
+    examined = 0
+    skipped = 0
+    for b, o, e, s in results:
+        best.merge(b)
+        boundary.merge(o)
+        examined += e
+        skipped += s
+    return best, boundary, examined, skipped
+
+
+def _split_range(n: int, parts: int):
+    parts = max(1, min(parts, n)) if n > 0 else 1
+    step = (n + parts - 1) // parts
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
+
+
+def _adjacent_pairs(sites, n: int):
+    """Ordered pairs differing in exactly one coordinate."""
+    for cx in itertools.product(sites, repeat=n):
+        for i in range(n):
+            for y in sites:
+                if y != cx[i]:
+                    yield cx, cx[:i] + (y,) + cx[i + 1 :]
+
+
+def _random_pairs(sites, n: int, samples: int, seed: int):
+    """Up to ``samples`` uniform pairs with cx != cy from Philox(seed), one
+    draw of 2N site indices per candidate, at most 100 * samples + 100
+    draws."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    drawn = 0
+    kept = 0
+    while kept < samples and drawn < 100 * samples + 100:
+        drawn += 1
+        idx = rng.integers(0, len(sites), size=2 * n)
+        cx = tuple(sites[k] for k in idx[:n])
+        cy = tuple(sites[k] for k in idx[n:])
+        if cx != cy:
+            kept += 1
+            yield cx, cy
+
+
+def bound_single(
+    kernel,
+    g: GroundMetric,
+    interior: Sequence | None = None,
+    n_workers: int | None = None,
+) -> CurvatureReport:
+    """Exact enumeration of drift/distance over ordered site pairs x != y.
+
+    The N = 1 case of the exhaustive system scan, with site-pair witnesses.
+    ``interior`` restricts the certified supremum to pairs inside it (used
+    by truncated models, where pairs touching the truncation edge are biased
+    by missing jumps); pairs touching the complement are still scanned and
+    reported under ``search_stats["boundary_sup"]``.
+    """
+    sites = g.require_sites()
+    kernel = _single_site_kernel(kernel, sites)
+    interior_set = set(sites if interior is None else interior)
+    unknown = interior_set - set(sites)
+    if unknown:
+        raise ValidationError(f"interior contains unknown sites {sorted(unknown)!r}")
+
+    best, boundary, pairs, skipped = _exhaustive(
+        kernel, g, [(x,) for x in sites], interior_set, resolve_workers(n_workers)
+    )
+    if best.witness is None:
+        raise ValidationError("no certified site pair with positive distance")
+    stats = {
+        "engine": "single",
+        "pairs_examined": pairs,
+        "pairs_skipped_zero_distance": skipped,
+        "interior_sites": len(interior_set),
+        "total_sites": len(sites),
+    }
+    if boundary.witness is not None:
+        (bx,), (by,) = boundary.witness
+        stats["boundary_sup"] = boundary.value
+        stats["boundary_witness"] = (bx, by)
+    (x,), (y,) = best.witness
+    return CurvatureReport(
+        bound=-best.value,
+        sup_value=best.value,
+        witness=(x, y),
+        certification="exact_enumeration",
+        search_stats=stats,
+    )
 
 
 def bound_system(
@@ -303,18 +364,10 @@ def bound_system(
       random     -- ``samples`` uniform pairs with the given seed; never
                     certified, and under-estimates the supremum
     """
-    import itertools
-
     if n_particles < 1:
         raise ValidationError("n_particles must be >= 1")
     sites = g.require_sites()
     interior_set = None if interior is None else set(interior)
-    n_workers = default_workers() if n_workers is None else max(1, n_workers)
-
-    best = _Best()
-    boundary = _Best()
-    pairs = 0
-    skipped = 0
     stats: dict = {
         "engine": "system",
         "strategy": strategy,
@@ -330,72 +383,29 @@ def bound_system(
                 f"(cap {pair_cap}); use strategy='random'"
             )
         configs = list(itertools.product(sites, repeat=n_particles))
-        m = len(configs)
-        chunks = _split_range(m * m, n_workers)
-        jobs = [(kernel, g, configs, lo, hi, interior_set) for lo, hi in chunks]
-        if n_workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(_scan_system_range, jobs))
-        else:
-            results = [_scan_system_range(job) for job in jobs]
-        for bv, bw, ov, ow, np_, sk in results:
-            if bw is not None:
-                best.offer(bv, bw)
-            if ow is not None:
-                boundary.offer(ov, ow)
-            pairs += np_
-            skipped += sk
+        result = _exhaustive(kernel, g, configs, interior_set, resolve_workers(n_workers))
         certification = "exact_enumeration"
-
     elif strategy == "adjacent":
         total = len(sites) ** n_particles * n_particles * max(len(sites) - 1, 0)
         if total > pair_cap:
             raise ValidationError(
                 f"adjacent enumeration would visit {total} pairs (cap {pair_cap})"
             )
-        cache: dict = {}
-        for cx in itertools.product(sites, repeat=n_particles):
-            for i in range(n_particles):
-                for y in sites:
-                    if y == cx[i]:
-                        continue
-                    cy = cx[:i] + (y,) + cx[i + 1 :]
-                    dist = config_distance(cx, cy, g)
-                    if dist == 0.0:
-                        skipped += 1
-                        continue
-                    pairs += 1
-                    ratio = mean_drift(kernel, cx, cy, g, cache) / dist
-                    _offer_split(best, boundary, interior_set, cx, cy, ratio)
+        pairs = _adjacent_pairs(sites, n_particles)
+        result = _scan(kernel, g, pairs, interior_set, {})
         certification = "sampled"
-
     elif strategy == "random":
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        cache = {}
-        draws = 0
-        while pairs + skipped < samples and draws < 100 * samples + 100:
-            draws += 1
-            idx = rng.integers(0, len(sites), size=2 * n_particles)
-            cx = tuple(sites[k] for k in idx[:n_particles])
-            cy = tuple(sites[k] for k in idx[n_particles:])
-            if cx == cy:
-                continue
-            dist = config_distance(cx, cy, g)
-            if dist == 0.0:
-                skipped += 1
-                continue
-            pairs += 1
-            ratio = mean_drift(kernel, cx, cy, g, cache) / dist
-            _offer_split(best, boundary, interior_set, cx, cy, ratio)
+        pairs = _random_pairs(sites, n_particles, samples, seed)
+        result = _scan(kernel, g, pairs, interior_set, {})
         stats["seed"] = seed
         certification = "sampled"
-
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
 
+    best, boundary, pairs_examined, skipped = result
     if best.witness is None:
         raise ValidationError("no certified configuration pair was examined")
-    stats["pairs_examined"] = pairs
+    stats["pairs_examined"] = pairs_examined
     stats["pairs_skipped_zero_distance"] = skipped
     if boundary.witness is not None:
         stats["boundary_sup"] = boundary.value
@@ -409,24 +419,19 @@ def bound_system(
     )
 
 
-def _offer_split(best, boundary, interior_set, cx, cy, ratio):
-    if interior_set is None or (
-        all(x in interior_set for x in cx) and all(y in interior_set for y in cy)
-    ):
-        best.offer(ratio, (cx, cy))
-    else:
-        boundary.offer(ratio, (cx, cy))
-
-
-def _split_range(n: int, parts: int):
-    parts = max(1, min(parts, n)) if n > 0 else 1
-    step = (n + parts - 1) // parts
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] or [(0, 0)]
-
-
 # ---------------------------------------------------------------------------
 # coupled jump rates
 # ---------------------------------------------------------------------------
+
+
+def coordinate_plan(
+    kernel: JumpKernel, i: int, cx: Config, cy: Config, g: GroundMetric
+) -> TransportPlan:
+    """Optimal plan of coordinate i between the augmented jump measures
+    rate_i(x) + mass_i(y) delta_{x_i} and rate_i(y) + mass_i(x) delta_{y_i}."""
+    m1 = kernel.rate(i, cx)
+    m2 = kernel.rate(i, cy)
+    return optimal_plan(*augmented_pair(cx[i], cy[i], m1, m2), g)
 
 
 def coupling_rates(
@@ -443,12 +448,6 @@ def coupling_rates(
     cy = check_configuration(cy, g)
     if len(cx) != len(cy):
         raise ValidationError("configuration sizes differ")
-    plans = []
-    for i in range(len(cx)):
-        m1 = kernel.rate(i, cx)
-        m2 = kernel.rate(i, cy)
-        a1 = m1.add_atom(cx[i], m2.mass)
-        a2 = m2.add_atom(cy[i], m1.mass)
-        plans.append(optimal_plan(a1, a2, g))
+    plans = [coordinate_plan(kernel, i, cx, cy, g) for i in range(len(cx))]
     total = math.fsum(p.total_mass for p in plans)
     return CouplingRates(plans=tuple(plans), total_rate=total)

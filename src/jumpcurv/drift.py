@@ -47,7 +47,9 @@ class DriftResult:
     augmented_cost: float
 
 
-def _augmented(x, y, m1: FiniteMeasure, m2: FiniteMeasure):
+def augmented_pair(x, y, m1: FiniteMeasure, m2: FiniteMeasure):
+    """The measures the drift transports: m1 + m2(E) delta_x and
+    m2 + m1(E) delta_y (equal total mass m1(E) + m2(E))."""
     return m1.add_atom(x, m2.mass), m2.add_atom(y, m1.mass)
 
 
@@ -60,7 +62,7 @@ def drift_exact(
     not implied; it is 0 when m1 = m2).  No clamping: genuinely negative
     values are the interesting ones.
     """
-    a1, a2 = _augmented(x, y, m1, m2)
+    a1, a2 = augmented_pair(x, y, m1, m2)
     cost = wasserstein(a1, a2, g)
     value = cost - (m1.mass + m2.mass) * g.dist(x, y)
     return DriftResult(value, "exact", cost)

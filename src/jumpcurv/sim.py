@@ -30,12 +30,10 @@ from .core import (
     Config,
     GroundMetric,
     ValidationError,
-    check_configuration,
     config_distance,
 )
-from .curvature import JumpKernel
+from .curvature import JumpKernel, coordinate_plan
 from .models import AgentsSpec
-from .transport import optimal_plan
 
 #: fewest replicas for which ensemble statistics are reported
 MIN_REPLICAS = 30
@@ -49,14 +47,18 @@ def _stream(seed: int, replica: int | None = None) -> np.random.Generator:
 
 
 def _pick(weights, total: float, u: float) -> int:
-    """Index k with cumulative weight just above u * total."""
+    """Index k with cumulative weight just above u * total.
+
+    When rounding leaves the running sum at or below u * total to the end,
+    the last index with positive weight is returned.
+    """
     acc = 0.0
     target = u * total
     for k, w in enumerate(weights):
         acc += w
         if target < acc:
             return k
-    return len(weights) - 1
+    return max(k for k, w in enumerate(weights) if w > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +154,12 @@ def simulate(
 
 
 def _coordinate_plan(kernel, i, cy, cz, g, cache):
-    if cache is not None:
-        key = (cy[i], cz[i])
-        plan = cache.get(key)
-        if plan is not None:
-            return plan
-    m1 = kernel.rate(i, cy)
-    m2 = kernel.rate(i, cz)
-    plan = optimal_plan(m1.add_atom(cy[i], m2.mass), m2.add_atom(cz[i], m1.mass), g)
-    if cache is not None:
-        cache[key] = plan
+    if cache is None:
+        return coordinate_plan(kernel, i, cy, cz, g)
+    key = (cy[i], cz[i])
+    plan = cache.get(key)
+    if plan is None:
+        plan = cache[key] = coordinate_plan(kernel, i, cy, cz, g)
     return plan
 
 

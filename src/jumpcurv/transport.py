@@ -27,7 +27,6 @@ from .core import (
     FiniteMeasure,
     GroundMetric,
     LineBaseMeasure,
-    MASS_RTOL,
     NumericError,
     ValidationError,
     require_equal_mass,

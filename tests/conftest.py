@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from jumpcurv import FiniteMeasure, GroundMetric
 
 
 def rng_for(name: str, seed: int = 0) -> np.random.Generator:
-    key = abs(hash((name, seed))) % (2**63)
+    """Philox stream keyed by a stable digest of (name, seed): the same
+    instances in every process, whatever PYTHONHASHSEED is."""
+    key = zlib.crc32(f"{name}:{seed}".encode())
     return np.random.Generator(np.random.Philox(key=key))
 
 

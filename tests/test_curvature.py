@@ -1,6 +1,7 @@
 """Contraction-bound engines, coupling rates, and their exchange identities."""
 
 import math
+import os
 
 import pytest
 
@@ -29,6 +30,8 @@ from jumpcurv import (
     mean_drift,
     wasserstein,
 )
+
+from jumpcurv.curvature import WORKERS_ENV, resolve_workers
 
 from conftest import rng_for, random_measure, random_metric
 
@@ -134,6 +137,24 @@ class TestSystemEngine:
                 (single.witness[0],),
                 (single.witness[1],),
             )
+        # a truncated chain with an interior: the single-site engine on one
+        # or two workers and the N = 1 system scan agree exactly, boundary
+        # included
+        spec = _random_bd_spec(rng, 12)
+        kernel, g = build_kernel(spec), bd_metric(spec)
+        interior = bd_interior(spec, margin=3)
+        reps = [
+            bound_single(kernel, g, interior=interior, n_workers=w) for w in (1, 2)
+        ]
+        system = bound_system(kernel, g, 1, interior=interior)
+        for rep in reps:
+            stats = rep.search_stats
+            assert rep.bound == system.bound
+            assert ((rep.witness[0],), (rep.witness[1],)) == system.witness
+            assert stats["boundary_sup"] == system.search_stats["boundary_sup"]
+            bx, by = stats["boundary_witness"]
+            assert ((bx,), (by,)) == system.search_stats["boundary_witness"]
+        assert reps[0].search_stats == reps[1].search_stats
 
     def test_product_system_decouples(self):
         # independent coordinates: per-coordinate drifts just average, so
@@ -207,6 +228,20 @@ class TestSystemEngine:
         assert reps[0].bound == reps[1].bound
         assert reps[0].witness == reps[1].witness
         assert reps[0].sup_value == reps[1].sup_value
+
+    def test_worker_count_resolution(self, monkeypatch):
+        # resolved only: no engine is started with these counts
+        cpus = os.cpu_count() or 1
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert resolve_workers() == 1
+        assert resolve_workers(0) == 1
+        assert resolve_workers(-3) == 1
+        assert resolve_workers(10**6) == cpus
+        monkeypatch.setenv(WORKERS_ENV, str(10**6))
+        assert resolve_workers() == cpus
+        assert resolve_workers(1) == 1
+        monkeypatch.setenv(WORKERS_ENV, "many")
+        assert resolve_workers() == 1
 
     def test_diagonal_terms_included(self):
         # coordinates sitting on the same site still contribute drift when

@@ -22,6 +22,7 @@ from jumpcurv import (
     simulate,
     simulate_coupled,
 )
+from jumpcurv.sim import _pick
 
 
 def _two_state(a: float = 1.0, b: float = 1.0) -> SingleSiteKernel:
@@ -112,6 +113,13 @@ class TestSimulate:
         assert traj.state_at(1.0) == (1,)
         assert traj.state_at(1.5) == (1,)
         assert traj.state_at(2.5) == (0,)
+
+    def test_pick_never_returns_zero_weight(self):
+        # the running sum 1e16 + 1 + 1 rounds back to 1e16 at each step, so
+        # u * total lies past it when the loop ends; the last entry has no
+        # weight and must not be chosen
+        weights = [1e16, 1.0, 1.0, 0.0]
+        assert _pick(weights, math.fsum(weights), 0.9999999999999999) == 2
 
 
 class TestSimulateCoupled:
