@@ -71,7 +71,7 @@ def _config_from_args(args) -> RunConfig:
         "workers",
         "start_site",
     ):
-        value = getattr(args, name.replace("-", "_"), None)
+        value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     if not overrides:
@@ -279,31 +279,6 @@ def cmd_couple(args) -> int:
     return EXIT_OK
 
 
-def _run_contract(cfg: RunConfig, rm, bound: float | None):
-    return contraction_estimate(
-        rm.kernel,
-        rm.metric,
-        _start_pairs(cfg),
-        float(cfg["horizon"]),
-        replicas=int(cfg["replicas"]),
-        grid=default_grid(float(cfg["horizon"]), int(cfg["grid_points"])),
-        seed=int(cfg["seed"]),
-        bound=bound,
-    )
-
-
-def _fit_payload(fit) -> dict:
-    return {
-        "fitted_rate": fit.fitted_rate,
-        "rate_se": fit.rate_se,
-        "bound": fit.bound,
-        "verdict": fit.verdict,
-        "replicas": fit.replicas,
-        "points_used": fit.points_used,
-        "coalesced": fit.coalesced,
-    }
-
-
 def _write_fit_csv(path: str, fit) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -313,13 +288,37 @@ def _write_fit_csv(path: str, fit) -> None:
 
 
 def cmd_contract(args) -> int:
+    """``contract`` and ``verify``: fit the contraction rate and compare it
+    with the closed-form bound, or with ``--bound-override``; ``verify`` also
+    reports the bound's source and the model variant."""
     cfg = _config_from_args(args)
     rm = resolve_model(cfg)
-    bound = args.bound_override if args.bound_override is not None else rm.closed_bound
-    fit = _run_contract(cfg, rm, bound)
+    overridden = args.bound_override is not None
+    bound = args.bound_override if overridden else rm.closed_bound
+    fit = contraction_estimate(
+        rm.kernel,
+        rm.metric,
+        _start_pairs(cfg),
+        float(cfg["horizon"]),
+        replicas=int(cfg["replicas"]),
+        grid=default_grid(float(cfg["horizon"]), int(cfg["grid_points"])),
+        seed=int(cfg["seed"]),
+        bound=bound,
+    )
     if args.csv:
         _write_fit_csv(args.csv, fit)
-    payload = _fit_payload(fit)
+    payload = {
+        "fitted_rate": fit.fitted_rate,
+        "rate_se": fit.rate_se,
+        "bound": fit.bound,
+        "verdict": fit.verdict,
+        "replicas": fit.replicas,
+        "points_used": fit.points_used,
+        "coalesced": fit.coalesced,
+    }
+    if args.command == "verify":
+        payload["bound_source"] = "override" if overridden else "closed_form"
+        payload["variant"] = rm.variant
     payload.update(cfg.echo())
     _print(payload)
     return EXIT_UNCONFIRMED if fit.verdict == "violated" else EXIT_OK
@@ -359,26 +358,6 @@ def cmd_herd(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
-    if args.bound_override is not None:
-        bound = args.bound_override
-        source = "override"
-    else:
-        bound = rm.closed_bound
-        source = "closed_form"
-    fit = _run_contract(cfg, rm, bound)
-    if args.csv:
-        _write_fit_csv(args.csv, fit)
-    payload = _fit_payload(fit)
-    payload["bound_source"] = source
-    payload["variant"] = rm.variant
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_UNCONFIRMED if fit.verdict == "violated" else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -402,6 +381,15 @@ def _add_config_options(p: argparse.ArgumentParser, *names: str) -> None:
         typ, doc = table[name]
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
                        dest=name, help=doc)
+
+
+def _add_contract_parser(sub, name: str, doc: str) -> None:
+    p = sub.add_parser(name, help=doc)
+    _add_config_options(p, "seed", "horizon", "replicas", "n_particles")
+    p.add_argument("--csv", default=None, help="write t,mean_d,se here")
+    p.add_argument("--bound-override", type=float, default=None,
+                   help="compare against this rate instead of the model bound")
+    p.set_defaults(func=cmd_contract)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,12 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the distance CSV here")
     p.set_defaults(func=cmd_couple)
 
-    p = sub.add_parser("contract", help="Monte Carlo contraction-rate fit")
-    _add_config_options(p, "seed", "horizon", "replicas", "n_particles")
-    p.add_argument("--csv", default=None, help="write t,mean_d,se here")
-    p.add_argument("--bound-override", type=float, default=None,
-                   help="compare against this rate instead of the model bound")
-    p.set_defaults(func=cmd_contract)
+    _add_contract_parser(sub, "contract", "Monte Carlo contraction-rate fit")
 
     p = sub.add_parser("herd", help="herding persistence experiment")
     _add_config_options(p, "seed", "horizon", "replicas", "n_particles",
@@ -468,12 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include per-replica exit times")
     p.set_defaults(func=cmd_herd)
 
-    p = sub.add_parser("verify", help="bound, fit, and verdict in one run")
-    _add_config_options(p, "seed", "horizon", "replicas", "n_particles")
-    p.add_argument("--csv", default=None, help="write t,mean_d,se here")
-    p.add_argument("--bound-override", type=float, default=None,
-                   help="compare against this rate instead of the model bound")
-    p.set_defaults(func=cmd_verify)
+    _add_contract_parser(sub, "verify", "bound, fit, and verdict in one run")
 
     return parser
 

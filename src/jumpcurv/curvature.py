@@ -67,14 +67,15 @@ def resolve_workers(n_workers: int | None = None) -> int:
 class JumpKernel:
     """Base class: per-coordinate jump measures of an N-particle system.
 
-    ``rate(i, config)`` returns the finite measure of destinations for
-    coordinate i in the given configuration.  ``config_dependent`` declares
-    whether that measure may depend on coordinates other than x_i; engines
-    and simulators may cache per-(x_i, y_i) results only when it is False.
+    ``sites`` is the site set the particles live on.  ``rate(i, config)``
+    returns the finite measure of destinations for coordinate i in the given
+    configuration.  It must be a pure function of (i, config): engines and
+    simulators cache per-coordinate results keyed by (x_i, y_i, rate_i(x),
+    rate_i(y)), which is correct for every kernel, configuration-dependent
+    ones included, only under that contract.
     """
 
     sites: tuple = ()
-    config_dependent: bool = True
 
     def rate(self, i: int, config: Config) -> FiniteMeasure:
         raise NotImplementedError
@@ -82,8 +83,6 @@ class JumpKernel:
 
 class SingleSiteKernel(JumpKernel):
     """Product system: every coordinate jumps per a site-indexed measure map."""
-
-    config_dependent = False
 
     def __init__(self, measures: Mapping, sites: Sequence | None = None):
         self.measures = dict(measures)
@@ -101,12 +100,9 @@ class SingleSiteKernel(JumpKernel):
 def _single_site_kernel(kernel, sites) -> SingleSiteKernel:
     """Normalize a site->measure mapping / callable / kernel to a
     SingleSiteKernel of precomputed measures (picklable, so worker processes
-    can take it)."""
+    can take it).  A kernel is read at one particle, where no jump measure
+    can depend on anything but the particle's own site."""
     if isinstance(kernel, JumpKernel):
-        if kernel.config_dependent:
-            raise ValidationError(
-                "single-site enumeration needs a configuration-independent kernel"
-            )
         q = lambda x: kernel.rate(0, (x,))
     elif isinstance(kernel, Mapping):
         q = kernel.__getitem__
@@ -425,13 +421,24 @@ def bound_system(
 
 
 def coordinate_plan(
-    kernel: JumpKernel, i: int, cx: Config, cy: Config, g: GroundMetric
+    kernel: JumpKernel, i: int, cx: Config, cy: Config, g: GroundMetric,
+    cache: dict | None = None,
 ) -> TransportPlan:
     """Optimal plan of coordinate i between the augmented jump measures
-    rate_i(x) + mass_i(y) delta_{x_i} and rate_i(y) + mass_i(x) delta_{y_i}."""
+    rate_i(x) + mass_i(y) delta_{x_i} and rate_i(y) + mass_i(x) delta_{y_i}.
+
+    ``cache`` (None: no cache) maps (x_i, y_i, rate_i(x), rate_i(y)) to the
+    plan, as in :func:`mean_drift`; the plan is a function of that key alone.
+    """
     m1 = kernel.rate(i, cx)
     m2 = kernel.rate(i, cy)
-    return optimal_plan(*augmented_pair(cx[i], cy[i], m1, m2), g)
+    if cache is None:
+        return optimal_plan(*augmented_pair(cx[i], cy[i], m1, m2), g)
+    key = (cx[i], cy[i], m1, m2)
+    plan = cache.get(key)
+    if plan is None:
+        plan = cache[key] = optimal_plan(*augmented_pair(cx[i], cy[i], m1, m2), g)
+    return plan
 
 
 def coupling_rates(

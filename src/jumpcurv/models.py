@@ -240,8 +240,6 @@ class AgentsSpec:
 
 
 class AgentsKernel(JumpKernel):
-    config_dependent = True
-
     def __init__(self, spec: AgentsSpec):
         self.spec = spec
         self.sites = tuple(range(spec.n_sites))
@@ -462,8 +460,6 @@ class ZeroRangeSpec:
 
 
 class ZeroRangeKernel(JumpKernel):
-    config_dependent = True
-
     def __init__(self, spec: ZeroRangeSpec):
         self.spec = spec
         self.sites = tuple(spec.sites)
@@ -596,8 +592,6 @@ class FlemingViotSpec:
 
 
 class FlemingViotKernel(JumpKernel):
-    config_dependent = True
-
     def __init__(self, spec: FlemingViotSpec):
         self.spec = spec
         self.sites = tuple(spec.sites)
@@ -855,8 +849,6 @@ class MeanFieldBDSpec:
 
 
 class MeanFieldBDKernel(JumpKernel):
-    config_dependent = True
-
     def __init__(self, spec: MeanFieldBDSpec):
         self.spec = spec
         self.sites = tuple(range(spec.K + 1))

@@ -9,12 +9,12 @@ Each event of the plain simulator draws, in this order: one exponential
 waiting time, one uniform for the moving coordinate, one uniform for the
 destination.  The coupled simulator replaces the destination draw by a draw
 from the per-coordinate optimal plans between the two augmented jump
-measures, recomputed after every event (cached per site pair for
-configuration-independent kernels; the cached plan is the same object the
-fresh computation would produce).  Draws that land on the current state
-(kernel mass at the occupied site, or the diagonal leftover of the
-augmented coupling) consume time and randomness but produce no breakpoint,
-so every recorded event moves exactly one coordinate.
+measures.  Each run caches those plans by (x_i, y_i, rate_i(x), rate_i(y)),
+for every kernel: the plan is a deterministic function of that key, so a
+cached plan equals the fresh one and the draws do not change.  Draws that
+land on the current state (kernel mass at the occupied site, or the diagonal
+leftover of the augmented coupling) consume time and randomness but produce
+no breakpoint, so every recorded event moves exactly one coordinate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     Config,
     GroundMetric,
     ValidationError,
+    check_configuration,
     config_distance,
 )
 from .curvature import JumpKernel, coordinate_plan
@@ -122,11 +123,18 @@ def simulate(
 ) -> Trajectory:
     """Exact event-driven simulation up to the horizon.
 
+    ``x0`` needs at least one particle, each on a site of ``kernel.sites``.
     Zero total rate freezes the trajectory (single segment, no events).
     """
     if horizon < 0.0:
         raise ValidationError("horizon must be non-negative")
     cfg = tuple(x0)
+    if not cfg:
+        raise ValidationError("a configuration needs at least one particle")
+    sites = set(kernel.sites)
+    for x in cfg:
+        if x not in sites:
+            raise ValidationError(f"start site {x!r} is not a site of the kernel")
     n = len(cfg)
     rng = _stream(seed)
     t = 0.0
@@ -153,16 +161,6 @@ def simulate(
     return Trajectory(tuple(x0), tuple(times), tuple(configs), horizon, seed)
 
 
-def _coordinate_plan(kernel, i, cy, cz, g, cache):
-    if cache is None:
-        return coordinate_plan(kernel, i, cy, cz, g)
-    key = (cy[i], cz[i])
-    plan = cache.get(key)
-    if plan is None:
-        plan = cache[key] = coordinate_plan(kernel, i, cy, cz, g)
-    return plan
-
-
 def simulate_coupled(
     kernel: JumpKernel,
     y0: Sequence,
@@ -182,17 +180,17 @@ def simulate_coupled(
     """
     if horizon < 0.0:
         raise ValidationError("horizon must be non-negative")
-    cy, cz = tuple(y0), tuple(z0)
+    cy, cz = check_configuration(y0, g), check_configuration(z0, g)
     if len(cy) != len(cz):
         raise ValidationError("the two copies need the same particle count")
     n = len(cy)
     rng = _stream(seed, replica)
-    cache: dict | None = None if kernel.config_dependent else {}
+    cache: dict = {}
     t = 0.0
     times = []
     states = []
     while True:
-        plans = [_coordinate_plan(kernel, i, cy, cz, g, cache) for i in range(n)]
+        plans = [coordinate_plan(kernel, i, cy, cz, g, cache) for i in range(n)]
         total = math.fsum(p.total_mass for p in plans)
         if total <= 0.0:
             break

@@ -75,7 +75,16 @@ class TransportPlan:
         return math.fsum(w for _, _, w in self.pairs)
 
 
-def _dispatch(g: GroundMetric, method: str) -> str:
+def _route(
+    m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric, method: str
+) -> str | None:
+    """Validate an equal-mass pair supported inside g and name the route
+    ``method`` selects; None when both measures are empty."""
+    require_equal_mass(m1, m2)
+    for z in m1.atoms + m2.atoms:
+        g.check_site(z)
+    if m1.mass == 0.0 and m2.mass == 0.0:
+        return None
     if method == "auto":
         if g.kind == "trivial":
             return "trivial"
@@ -104,14 +113,9 @@ def wasserstein(
     ``method`` forces a route ("lp", "trivial", "line"); "auto" picks the
     closed form matching the metric kind.  Both measures empty gives 0.
     """
-    require_equal_mass(m1, m2)
-    for z in m1.atoms:
-        g.check_site(z)
-    for z in m2.atoms:
-        g.check_site(z)
-    if m1.mass == 0.0 and m2.mass == 0.0:
+    route = _route(m1, m2, g, method)
+    if route is None:
         return 0.0
-    route = _dispatch(g, method)
     if route == "trivial":
         return _trivial_distance(m1, m2)
     if route == "line":
@@ -165,14 +169,9 @@ def optimal_plan(
     order, and the LP backend always returns the same vertex for the same
     input.  The plan cost agrees with the distance to 1e-9 relative.
     """
-    require_equal_mass(m1, m2)
-    for z in m1.atoms:
-        g.check_site(z)
-    for z in m2.atoms:
-        g.check_site(z)
-    if m1.mass == 0.0 and m2.mass == 0.0:
+    route = _route(m1, m2, g, method)
+    if route is None:
         return TransportPlan((), 0.0, m1, m2)
-    route = _dispatch(g, method)
     if route == "trivial":
         pairs = _trivial_plan_pairs(m1, m2)
     elif route == "line":

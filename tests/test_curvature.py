@@ -3,6 +3,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from jumpcurv import (
@@ -11,12 +12,18 @@ from jumpcurv import (
     BirthDeathSpec,
     CurvatureReport,
     FiniteMeasure,
+    FlemingViotKernel,
+    FlemingViotSpec,
     GroundMetric,
     JumpKernel,
+    MeanFieldBDKernel,
+    MeanFieldBDSpec,
     ModifiedBDSpec,
     QuadraticPreference,
     SingleSiteKernel,
     ValidationError,
+    ZeroRangeKernel,
+    ZeroRangeSpec,
     agents_bound,
     bd_bound,
     bd_interior,
@@ -31,7 +38,7 @@ from jumpcurv import (
     wasserstein,
 )
 
-from jumpcurv.curvature import WORKERS_ENV, resolve_workers
+from jumpcurv.curvature import WORKERS_ENV, coordinate_plan, resolve_workers
 
 from conftest import rng_for, random_measure, random_metric
 
@@ -155,6 +162,16 @@ class TestSystemEngine:
             bx, by = stats["boundary_witness"]
             assert ((bx,), (by,)) == system.search_stats["boundary_witness"]
         assert reps[0].search_stats == reps[1].search_stats
+        # at one particle a configuration-dependent kernel depends on the
+        # particle's own site only, so the single-site engine takes it too
+        spec = AgentsSpec(
+            n_sites=3, temperature=0.6, f=QuadraticPreference(), n_particles=1
+        )
+        kernel, g = AgentsKernel(spec), GroundMetric.trivial((0, 1, 2))
+        single = bound_single(kernel, g)
+        system = bound_system(kernel, g, 1)
+        assert single.bound == system.bound
+        assert ((single.witness[0],), (single.witness[1],)) == system.witness
 
     def test_product_system_decouples(self):
         # independent coordinates: per-coordinate drifts just average, so
@@ -275,6 +292,73 @@ class TestCouplingRates:
         for i, plan in enumerate(rates.plans):
             assert all(u == v for u, v, _ in plan.pairs)
             assert plan.cost == pytest.approx(0.0, abs=1e-12)
+
+    def test_cached_plans_equal_fresh(self):
+        # a plan is a function of (x_i, y_i, rate_i(x), rate_i(y)), so a
+        # shared cache keyed by them returns the fresh plan for every kernel:
+        # the configuration-dependent families and a kernel that declares
+        # nothing beyond its rates
+        class NeighbourKernel(JumpKernel):
+            sites = (0, 1, 2)
+
+            def rate(self, i, config):
+                other = config[(i + 1) % len(config)]
+                return FiniteMeasure([other, (config[i] + 1) % 3], [1.0 + other, 0.5])
+
+        trivial = GroundMetric.trivial((0, 1, 2))
+        K = 4
+        cases = [
+            (
+                AgentsKernel(AgentsSpec(
+                    n_sites=3, temperature=0.5, f=QuadraticPreference(), n_particles=3
+                )),
+                trivial,
+            ),
+            (
+                ZeroRangeKernel(ZeroRangeSpec(
+                    sites=(0, 1, 2),
+                    P=np.full((3, 3), 0.5) - 0.5 * np.eye(3),
+                    n_particles=3,
+                    zr_rate=lambda x, n: 1.0 + 0.5 * n,
+                )),
+                trivial,
+            ),
+            (
+                FlemingViotKernel(FlemingViotSpec(
+                    sites=(0, 1, 2),
+                    q={x: FiniteMeasure([(x + 1) % 3], [1.0]) for x in (0, 1, 2)},
+                    beta={0: 1.0, 1: 0.5, 2: 0.0},
+                )),
+                trivial,
+            ),
+            (
+                MeanFieldBDKernel(MeanFieldBDSpec(
+                    b=(0.5,) * (K + 1),
+                    d=tuple(0.8 * x for x in range(K + 1)),
+                    K=K,
+                    q_plus=lambda x, cfg: 0.2 * sum(cfg) / len(cfg),
+                    q_minus=lambda x, cfg: 0.1 * max(cfg),
+                    a_const=0.0,
+                    b_const=0.0,
+                )),
+                GroundMetric.weighted_line((1.0,) * K),
+            ),
+            (NeighbourKernel(), trivial),
+        ]
+        rng = rng_for("curv-plan-cache")
+        for kernel, g in cases:
+            cache: dict = {}
+            calls = 0
+            for _ in range(30):
+                cx = tuple(int(v) for v in rng.choice(kernel.sites, size=3))
+                cy = tuple(int(v) for v in rng.choice(kernel.sites, size=3))
+                for i in range(3):
+                    cached = coordinate_plan(kernel, i, cx, cy, g, cache)
+                    fresh = coordinate_plan(kernel, i, cx, cy, g)
+                    calls += 1
+                    assert cached.pairs == fresh.pairs
+                    assert cached.cost == fresh.cost
+            assert len(cache) < calls
 
     def test_two_state_plan(self):
         a, b = 1.2, 0.5

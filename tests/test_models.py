@@ -152,7 +152,9 @@ class TestBirthDeathBounds:
             assert rep.bound == pytest.approx(min(terms), abs=1e-6)
 
     def test_closed_forms_never_beat_engine(self):
-        # the rate formulas are lower bounds; the engine computes the sup
+        # for nearest-neighbour chains the rate formula is exact: on the
+        # interior 0..K-1, whose adjacent pairs are the x = 0..K-2 of
+        # bd_bound, it equals the engine's certified bound
         rng = rng_for("models-bd-vs-engine")
         K = 12
         for _ in range(10):
@@ -160,9 +162,9 @@ class TestBirthDeathBounds:
             u = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=K))
             spec = BirthDeathSpec(b=b, d=d, u=u, K=K)
             rep = bound_single(
-                build_kernel(spec), bd_metric(spec), interior=bd_interior(spec, 2)
+                build_kernel(spec), bd_metric(spec), interior=bd_interior(spec, 1)
             )
-            assert bd_bound(spec) <= rep.bound + 1e-9
+            assert bd_bound(spec) == pytest.approx(rep.bound, rel=1e-12, abs=1e-12)
 
     def test_rate_validation(self):
         with pytest.raises(ValidationError, match="d_0"):

@@ -105,6 +105,15 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(_two_state(), (1,), horizon=-1.0)
 
+    def test_start_configuration_validated(self):
+        spec = AgentsSpec(
+            n_sites=3, temperature=1.0, f=QuadraticPreference(), n_particles=2
+        )
+        with pytest.raises(ValidationError, match="not a site"):
+            simulate(AgentsKernel(spec), (0, 7), horizon=1.0)
+        with pytest.raises(ValidationError, match="at least one particle"):
+            simulate(AgentsKernel(spec), (), horizon=1.0)
+
     def test_state_at_breakpoints(self):
         traj = Trajectory(
             initial=(0,), times=(1.0, 2.0), configs=((1,), (0,)), horizon=3.0, seed=0
@@ -196,6 +205,18 @@ class TestSimulateCoupled:
         g = GroundMetric.trivial((1, 2))
         with pytest.raises(ValidationError):
             simulate_coupled(_two_state(), (1, 2), (1,), 1.0, g)
+
+    def test_start_configurations_validated(self):
+        spec = AgentsSpec(
+            n_sites=3, temperature=1.0, f=QuadraticPreference(), n_particles=2
+        )
+        kernel, g = AgentsKernel(spec), GroundMetric.trivial((0, 1, 2))
+        with pytest.raises(ValidationError, match="unknown site 7"):
+            simulate_coupled(kernel, (0, 7), (1, 2), 1.0, g)
+        with pytest.raises(ValidationError, match="unknown site 7"):
+            simulate_coupled(kernel, (1, 2), (0, 7), 1.0, g)
+        with pytest.raises(ValidationError, match="at least one particle"):
+            simulate_coupled(kernel, (), (), 1.0, g)
 
 
 class TestContractionEstimate:
