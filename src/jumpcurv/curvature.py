@@ -194,6 +194,26 @@ def mean_drift(kernel: JumpKernel, cx: Config, cy: Config, g: GroundMetric,
     return total / n
 
 
+class _RateRows:
+    """A kernel's rate rows, memoized for one scan: ``rate(i, c)`` is entry i
+    of the row ``(kernel.rate(0, c), ..., kernel.rate(N-1, c))``, built the
+    first time ``c`` is seen.  Exact under the :class:`JumpKernel` contract
+    that rates are a pure function of (i, config)."""
+
+    __slots__ = ("kernel", "rows")
+
+    def __init__(self, kernel: JumpKernel):
+        self.kernel = kernel
+        self.rows: dict = {}
+
+    def rate(self, i: int, config: Config) -> FiniteMeasure:
+        row = self.rows.get(config)
+        if row is None:
+            rate = self.kernel.rate
+            row = self.rows[config] = tuple(rate(j, config) for j in range(len(config)))
+        return row[i]
+
+
 def _scan(kernel: JumpKernel, g: GroundMetric, pairs, interior_set, cache):
     """The one scan body: drift/distance over ordered configuration pairs.
 
@@ -202,7 +222,14 @@ def _scan(kernel: JumpKernel, g: GroundMetric, pairs, interior_set, cache):
     maximum, the rest the boundary maximum.  ``cache`` is the drift cache
     of :func:`mean_drift` (None: no cache).  Returns (best, boundary, pairs
     examined, pairs skipped).
+
+    Each configuration's rate row is built once per scan (:class:`_RateRows`)
+    and shared by every pair containing it, so the scan makes N rate calls
+    per distinct configuration and holds at most N measures for each: at
+    most N |E|^N per worker for the exhaustive strategy, 2 N ``samples`` for
+    the random one.
     """
+    kernel = _RateRows(kernel)
     best = _Best()
     boundary = _Best()
     examined = 0
@@ -357,8 +384,9 @@ def bound_system(
                     certified exact_enumeration
       adjacent   -- pairs differing in exactly one coordinate; cheap, and for
                     many models the sup lives there, but never certified
-      random     -- ``samples`` uniform pairs with the given seed; never
-                    certified, and under-estimates the supremum
+      random     -- ``samples`` uniform pairs with the given seed
+                    (1 <= samples <= ``pair_cap``); never certified, and
+                    under-estimates the supremum
     """
     if n_particles < 1:
         raise ValidationError("n_particles must be >= 1")
@@ -391,6 +419,10 @@ def bound_system(
         result = _scan(kernel, g, pairs, interior_set, {})
         certification = "sampled"
     elif strategy == "random":
+        if not 1 <= samples <= pair_cap:
+            raise ValidationError(
+                f"samples must be between 1 and the pair cap {pair_cap}, got {samples}"
+            )
         pairs = _random_pairs(sites, n_particles, samples, seed)
         result = _scan(kernel, g, pairs, interior_set, {})
         stats["seed"] = seed

@@ -14,7 +14,9 @@ for every kernel: the plan is a deterministic function of that key, so a
 cached plan equals the fresh one and the draws do not change.  Draws that
 land on the current state (kernel mass at the occupied site, or the diagonal
 leftover of the augmented coupling) consume time and randomness but produce
-no breakpoint, so every recorded event moves exactly one coordinate.
+no breakpoint, so every recorded event moves exactly one coordinate.  Such a
+no-op draw leaves the state as it was, so the coupled simulator reuses the
+current plans for the next draw and rebuilds them only after a move.
 """
 
 from __future__ import annotations
@@ -186,18 +188,21 @@ def simulate_coupled(
     n = len(cy)
     rng = _stream(seed, replica)
     cache: dict = {}
+
+    def coupled_plans(cy, cz):
+        plans = [coordinate_plan(kernel, i, cy, cz, g, cache) for i in range(n)]
+        masses = [p.total_mass for p in plans]
+        return plans, masses, math.fsum(masses)
+
+    plans, masses, total = coupled_plans(cy, cz)
     t = 0.0
     times = []
     states = []
-    while True:
-        plans = [coordinate_plan(kernel, i, cy, cz, g, cache) for i in range(n)]
-        total = math.fsum(p.total_mass for p in plans)
-        if total <= 0.0:
-            break
+    while total > 0.0:
         t += rng.exponential(1.0 / total)
         if t > horizon:
             break
-        i = _pick([p.total_mass for p in plans], total, rng.random())
+        i = _pick(masses, total, rng.random())
         plan = plans[i]
         u, v, _ = plan.pairs[
             _pick([w for _, _, w in plan.pairs], plan.total_mass, rng.random())
@@ -210,6 +215,7 @@ def simulate_coupled(
         cz = cz[:i] + (v,) + cz[i + 1 :]
         times.append(t)
         states.append((cy, cz))
+        plans, masses, total = coupled_plans(cy, cz)
     return CoupledTrajectory(
         (tuple(y0), tuple(z0)), tuple(times), tuple(states), horizon, seed
     )

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from jumpcurv import FiniteMeasure, GroundMetric
+from jumpcurv import FiniteMeasure, GroundMetric, JumpKernel
 
 
 def rng_for(name: str, seed: int = 0) -> np.random.Generator:
@@ -21,6 +21,19 @@ def rng_for(name: str, seed: int = 0) -> np.random.Generator:
     instances in every process, whatever PYTHONHASHSEED is."""
     key = zlib.crc32(f"{name}:{seed}".encode())
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class CountingKernel(JumpKernel):
+    """Delegates to ``inner`` and counts its ``rate`` calls."""
+
+    def __init__(self, inner: JumpKernel):
+        self.inner = inner
+        self.sites = inner.sites
+        self.calls = 0
+
+    def rate(self, i, config):
+        self.calls += 1
+        return self.inner.rate(i, config)
 
 
 def random_measure(rng, sites, max_atoms=4, min_atoms=1, mass=None) -> FiniteMeasure:

@@ -1,5 +1,6 @@
 """Contraction-bound engines, coupling rates, and their exchange identities."""
 
+import itertools
 import math
 import os
 
@@ -38,9 +39,15 @@ from jumpcurv import (
     wasserstein,
 )
 
-from jumpcurv.curvature import WORKERS_ENV, coordinate_plan, resolve_workers
+from jumpcurv.curvature import (
+    WORKERS_ENV,
+    _adjacent_pairs,
+    _random_pairs,
+    coordinate_plan,
+    resolve_workers,
+)
 
-from conftest import rng_for, random_measure, random_metric
+from conftest import CountingKernel, rng_for, random_measure, random_metric
 
 
 def _two_state_kernel(a: float, b: float) -> SingleSiteKernel:
@@ -55,6 +62,97 @@ def _random_bd_spec(rng, K: int, modified: bool = False):
     u = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=K))
     cls = ModifiedBDSpec if modified else BirthDeathSpec
     return cls(b=b, d=d, u=u, K=K)
+
+
+class NeighbourKernel(JumpKernel):
+    """A configuration-dependent kernel that declares only ``sites`` and
+    ``rate``."""
+
+    sites = (0, 1, 2)
+
+    def rate(self, i, config):
+        other = config[(i + 1) % len(config)]
+        return FiniteMeasure([other, (config[i] + 1) % 3], [1.0 + other, 0.5])
+
+
+def _zr_rate(x, n):
+    return 1.0 + 0.5 * n
+
+
+def _q_plus(x, cfg):
+    return 0.2 * sum(cfg) / len(cfg)
+
+
+def _q_minus(x, cfg):
+    return 0.1 * max(cfg)
+
+
+def _kernel_cases():
+    """(kernel, metric) for every configuration-dependent family and for
+    :class:`NeighbourKernel`; all picklable, so worker processes take them."""
+    trivial = GroundMetric.trivial((0, 1, 2))
+    K = 4
+    return [
+        (
+            AgentsKernel(AgentsSpec(
+                n_sites=3, temperature=0.5, f=QuadraticPreference(), n_particles=3
+            )),
+            trivial,
+        ),
+        (
+            ZeroRangeKernel(ZeroRangeSpec(
+                sites=(0, 1, 2),
+                P=np.full((3, 3), 0.5) - 0.5 * np.eye(3),
+                n_particles=3,
+                zr_rate=_zr_rate,
+            )),
+            trivial,
+        ),
+        (
+            FlemingViotKernel(FlemingViotSpec(
+                sites=(0, 1, 2),
+                q={x: FiniteMeasure([(x + 1) % 3], [1.0]) for x in (0, 1, 2)},
+                beta={0: 1.0, 1: 0.5, 2: 0.0},
+            )),
+            trivial,
+        ),
+        (
+            MeanFieldBDKernel(MeanFieldBDSpec(
+                b=(0.5,) * (K + 1),
+                d=tuple(0.8 * x for x in range(K + 1)),
+                K=K,
+                q_plus=_q_plus,
+                q_minus=_q_minus,
+                a_const=0.0,
+                b_const=0.0,
+            )),
+            GroundMetric.weighted_line((1.0,) * K),
+        ),
+        (NeighbourKernel(), trivial),
+    ]
+
+
+def _direct_scan(kernel, g, pairs, interior):
+    """Reference scan: a fresh, uncached mean_drift per ordered pair, the
+    running maximum kept with the engine's tie-break (larger value, then the
+    smaller witness).  Returns ((sup, witness), (boundary sup, witness),
+    pairs examined)."""
+    inside = set(interior)
+    top = {True: None, False: None}
+    examined = 0
+    for cx, cy in pairs:
+        if cx == cy:
+            continue
+        dist = config_distance(cx, cy, g)
+        if dist == 0.0:
+            continue
+        examined += 1
+        value = mean_drift(kernel, cx, cy, g) / dist
+        side = inside.issuperset(cx) and inside.issuperset(cy)
+        cur = top[side]
+        if cur is None or (-value, (cx, cy)) < (-cur[0], cur[1]):
+            top[side] = (value, (cx, cy))
+    return top[True], top[False], examined
 
 
 class TestSingleEngine:
@@ -260,6 +358,57 @@ class TestSystemEngine:
         monkeypatch.setenv(WORKERS_ENV, "many")
         assert resolve_workers() == 1
 
+    def test_rate_rows_equal_direct_drift(self):
+        # the scan's per-configuration rate rows give the floats of a direct
+        # per-pair mean_drift (fresh rates, no cache), hence the same bound,
+        # witness and boundary on every strategy and worker count
+        rng = rng_for("curv-rate-rows")
+        for kernel, g in _kernel_cases():
+            sites = g.sites
+            n = 3 if len(sites) <= 3 else 2
+            interior = sites[:-1]
+            seed = int(rng.integers(2**32))
+            configs = list(itertools.product(sites, repeat=n))
+            cases = [
+                ({"strategy": "exhaustive", "n_workers": 1},
+                 itertools.product(configs, repeat=2)),
+                ({"strategy": "exhaustive", "n_workers": 2},
+                 itertools.product(configs, repeat=2)),
+                ({"strategy": "adjacent"}, _adjacent_pairs(sites, n)),
+                ({"strategy": "random", "samples": 150, "seed": seed},
+                 _random_pairs(sites, n, 150, seed)),
+            ]
+            for kwargs, pairs in cases:
+                rep = bound_system(kernel, g, n, interior=interior, **kwargs)
+                best, boundary, examined = _direct_scan(kernel, g, pairs, interior)
+                stats = rep.search_stats
+                assert (rep.sup_value, rep.witness) == best
+                assert (stats["boundary_sup"], stats["boundary_witness"]) == boundary
+                assert stats["pairs_examined"] == examined
+
+    def test_exhaustive_rates_once_per_configuration(self):
+        # one rate row per configuration: N |E|^N rate calls in all, where a
+        # per-pair evaluation makes 2N per examined pair
+        spec = AgentsSpec(
+            n_sites=3, temperature=0.5, f=QuadraticPreference(), n_particles=3
+        )
+        for n in (1, 2, 3):
+            kernel = CountingKernel(AgentsKernel(spec))
+            rep = bound_system(kernel, GroundMetric.trivial((0, 1, 2)), n, n_workers=1)
+            assert rep.search_stats["pairs_examined"] == 9**n - 3**n
+            assert kernel.calls == n * 3**n
+
+    def test_random_samples_validated(self):
+        kernel = _two_state_kernel(1.0, 1.0)
+        g = GroundMetric.trivial((1, 2))
+        for samples in (0, -3, 11):
+            with pytest.raises(ValidationError, match="samples must be between 1"):
+                bound_system(
+                    kernel, g, 2, strategy="random", samples=samples, pair_cap=10
+                )
+        rep = bound_system(kernel, g, 2, strategy="random", samples=10, pair_cap=10)
+        assert rep.search_stats["pairs_examined"] == 10
+
     def test_diagonal_terms_included(self):
         # coordinates sitting on the same site still contribute drift when
         # the surrounding configuration differs
@@ -298,55 +447,8 @@ class TestCouplingRates:
         # shared cache keyed by them returns the fresh plan for every kernel:
         # the configuration-dependent families and a kernel that declares
         # nothing beyond its rates
-        class NeighbourKernel(JumpKernel):
-            sites = (0, 1, 2)
-
-            def rate(self, i, config):
-                other = config[(i + 1) % len(config)]
-                return FiniteMeasure([other, (config[i] + 1) % 3], [1.0 + other, 0.5])
-
-        trivial = GroundMetric.trivial((0, 1, 2))
-        K = 4
-        cases = [
-            (
-                AgentsKernel(AgentsSpec(
-                    n_sites=3, temperature=0.5, f=QuadraticPreference(), n_particles=3
-                )),
-                trivial,
-            ),
-            (
-                ZeroRangeKernel(ZeroRangeSpec(
-                    sites=(0, 1, 2),
-                    P=np.full((3, 3), 0.5) - 0.5 * np.eye(3),
-                    n_particles=3,
-                    zr_rate=lambda x, n: 1.0 + 0.5 * n,
-                )),
-                trivial,
-            ),
-            (
-                FlemingViotKernel(FlemingViotSpec(
-                    sites=(0, 1, 2),
-                    q={x: FiniteMeasure([(x + 1) % 3], [1.0]) for x in (0, 1, 2)},
-                    beta={0: 1.0, 1: 0.5, 2: 0.0},
-                )),
-                trivial,
-            ),
-            (
-                MeanFieldBDKernel(MeanFieldBDSpec(
-                    b=(0.5,) * (K + 1),
-                    d=tuple(0.8 * x for x in range(K + 1)),
-                    K=K,
-                    q_plus=lambda x, cfg: 0.2 * sum(cfg) / len(cfg),
-                    q_minus=lambda x, cfg: 0.1 * max(cfg),
-                    a_const=0.0,
-                    b_const=0.0,
-                )),
-                GroundMetric.weighted_line((1.0,) * K),
-            ),
-            (NeighbourKernel(), trivial),
-        ]
         rng = rng_for("curv-plan-cache")
-        for kernel, g in cases:
+        for kernel, g in _kernel_cases():
             cache: dict = {}
             calls = 0
             for _ in range(30):

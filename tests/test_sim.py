@@ -24,6 +24,8 @@ from jumpcurv import (
 )
 from jumpcurv.sim import _pick
 
+from conftest import CountingKernel
+
 
 def _two_state(a: float = 1.0, b: float = 1.0) -> SingleSiteKernel:
     return SingleSiteKernel(
@@ -200,6 +202,19 @@ class TestSimulateCoupled:
         bias = 0.05  # second-order in h
         assert est <= target + 3.0 * se + bias
         assert abs(est - target) <= 3.0 * se + bias
+
+    def test_plans_rebuilt_only_after_moves(self):
+        # a no-op draw leaves the state unchanged, so the plans of the start
+        # and of each moving event serve every draw until the next move:
+        # 2N rate calls per build, none per no-op draw
+        spec = AgentsSpec(
+            n_sites=3, temperature=1.0, f=QuadraticPreference(), n_particles=3
+        )
+        g = GroundMetric.trivial((0, 1, 2))
+        kernel = CountingKernel(AgentsKernel(spec))
+        traj = simulate_coupled(kernel, (0, 0, 0), (1, 2, 1), 10.0, g, seed=8)
+        assert traj.n_events > 0
+        assert kernel.calls == 2 * 3 * (traj.n_events + 1)
 
     def test_size_mismatch(self):
         g = GroundMetric.trivial((1, 2))
