@@ -8,7 +8,8 @@ Three computation routes, dispatched on the metric kind:
   CDF gap |F1 - F2| against the base measure, a finite sum over the
   breakpoints of the two supports;
 * general metric: an exact linear program on the support-pair cost matrix
-  (HiGHS), which also yields a vertex plan.
+  (HiGHS, called through scipy's binding with linprog's options), which
+  also yields a vertex plan.
 
 Plans from the closed-form routes are built directly (diagonal-plus-greedy
 for trivial, monotone merge for the line) and are deterministic; the LP
@@ -238,9 +239,6 @@ def _monotone_plan_pairs(m1: FiniteMeasure, m2: FiniteMeasure):
 
 def _lp_solve(m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric):
     """Exact LP on the support-pair cost matrix.  Returns (cost, pairs)."""
-    from scipy.optimize import linprog
-    from scipy.sparse import lil_matrix
-
     a1, a2 = m1.atoms, m2.atoms
     n1, n2 = len(a1), len(a2)
     cost = np.empty((n1, n2))
@@ -248,19 +246,12 @@ def _lp_solve(m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric):
         for j, v in enumerate(a2):
             cost[i, j] = g.dist(u, v)
 
-    A = lil_matrix((n1 + n2, n1 * n2))
-    for i in range(n1):
-        A[i, i * n2 : (i + 1) * n2] = 1.0
-    for j in range(n2):
-        A[n1 + j, j::n2] = 1.0
     # reconcile the (<= 1e-9 relative) mass gap so the system is consistent
     scale = m1.mass / m2.mass if m2.mass > 0.0 else 1.0
     b = np.concatenate([np.asarray(m1.weights), scale * np.asarray(m2.weights)])
 
-    res = linprog(cost.ravel(), A_eq=A.tocsr(), b_eq=b, method="highs")
-    if res.status != 0:
-        raise NumericError(f"transport LP failed: {res.message}")
-    x = res.x.reshape(n1, n2)
+    flat = _transport_vertex(cost.ravel(), n1, n2, b)
+    x = flat.reshape(n1, n2)
     floor = _DUST * max(m1.mass, 1.0)
     pairs = [
         (a1[i], a2[j], float(x[i, j]))
@@ -268,5 +259,70 @@ def _lp_solve(m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric):
         for j in range(n2)
         if x[i, j] > floor
     ]
-    total = float(np.dot(res.x, cost.ravel()))
+    total = float(np.dot(flat, cost.ravel()))
     return total, pairs
+
+
+def _transport_vertex(c: np.ndarray, n1: int, n2: int, b: np.ndarray) -> np.ndarray:
+    """HiGHS vertex minimizing c . x over x >= 0 with marginals b.
+
+    Variable i*n2 + j is the mass moved from source i to target j; it enters
+    row i (source marginal, b[i]) and row n1 + j (target marginal,
+    b[n1 + j]).  The model goes straight to scipy's HiGHS binding with the
+    options ``linprog(method="highs")`` sets, so the vertex is the one
+    linprog returns, bit for bit; on these small problems linprog's own
+    input checks cost several times the solve.  Where scipy lacks that
+    binding, linprog solves the same CSC matrix.
+    """
+    nvar = n1 * n2
+    k = np.arange(nvar)
+    index = np.empty(2 * nvar, dtype=np.int32)
+    index[0::2] = k // n2
+    index[1::2] = n1 + k % n2
+    start = np.arange(0, 2 * nvar + 1, 2, dtype=np.int32)
+    hs = _highs_binding()
+    if hs is None:
+        from scipy.optimize import linprog
+        from scipy.sparse import csc_array
+
+        A = csc_array((np.ones(2 * nvar), index, start), shape=(n1 + n2, nvar))
+        res = linprog(c, A_eq=A, b_eq=b, method="highs")
+        if res.status != 0:
+            raise NumericError(f"transport LP failed: {res.message}")
+        return res.x
+
+    lp = hs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nvar
+    lp.num_row_ = lp.a_matrix_.num_row_ = n1 + n2
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = np.ones(2 * nvar)
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(nvar)
+    lp.col_upper_ = np.full(nvar, hs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    options = hs.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = hs.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = hs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    solver = hs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != hs.HighsModelStatus.kOptimal:
+        raise NumericError(
+            f"transport LP failed: {solver.modelStatusToString(status)}"
+        )
+    return np.array(solver.getSolution().col_value)
+
+
+def _highs_binding():
+    """scipy's private HiGHS module, or None where this scipy has none."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core

@@ -15,6 +15,7 @@ from jumpcurv import (
     wasserstein,
     wasserstein_line,
 )
+from jumpcurv import transport
 
 from conftest import rng_for, random_measure, random_metric, transport_oracle
 
@@ -112,6 +113,27 @@ class TestOracle:
             assert wasserstein(m1, m2, g) == pytest.approx(
                 transport_oracle(m1, m2, g), abs=1e-9
             )
+
+    def test_direct_highs_vertex_equals_linprog(self, monkeypatch):
+        # the direct HiGHS call must return linprog's vertex bit for bit,
+        # degenerate uniform weights (many optimal vertices) included
+        rng = rng_for("highs-direct")
+        cases = []
+        for k in range(80):
+            n = int(rng.integers(2, 8))
+            g = random_metric(rng, n)
+            if k % 4 == 0:
+                m1 = FiniteMeasure(g.sites, np.full(n, 0.5))
+                m2 = FiniteMeasure(g.sites[::-1], np.full(n, 0.5))
+            else:
+                m1 = random_measure(rng, g.sites, max_atoms=n, mass=1.3)
+                m2 = random_measure(rng, g.sites, max_atoms=n, mass=1.3)
+            cases.append((m1, m2, g))
+        assert transport._highs_binding() is not None
+        direct = [transport._lp_solve(m1, m2, g) for m1, m2, g in cases]
+        monkeypatch.setattr(transport, "_highs_binding", lambda: None)
+        via_linprog = [transport._lp_solve(m1, m2, g) for m1, m2, g in cases]
+        assert direct == via_linprog
 
 
 class TestProperties:
