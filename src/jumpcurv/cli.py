@@ -6,6 +6,10 @@ herding thresholds, trajectory simulation, coupled runs, Monte Carlo rate
 fits, herding experiments, and an end-to-end verify that compares the fitted
 rate against the certified bound.
 
+Every subcommand returns its report payload (``contract`` and ``verify`` also
+their exit code); ``main`` loads and resolves the configuration before it,
+and echoes the configuration into the report and prints it after it.
+
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
 failure, 4 contraction bound not confirmed by the fit.
 """
@@ -13,7 +17,6 @@ failure, 4 contraction bound not confirmed by the fit.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .core import (
@@ -29,7 +32,7 @@ from .drift import (
     drift_exact,
     drift_kernel_bound,
 )
-from .curvature import bound_single, bound_system, resolve_workers
+from .curvature import STRATEGIES, bound_single, bound_system, resolve_workers
 from . import models as M
 from .sim import (
     contraction_estimate,
@@ -47,6 +50,7 @@ from .config import (
     parse_site,
     read_measure_csv,
     resolve_model,
+    write_csv,
     write_plan_csv,
 )
 
@@ -55,34 +59,30 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 EXIT_UNCONFIRMED = 4
 
+#: config fields a command line flag may override: name -> (type, help)
+_OVERRIDES = {
+    "seed": (int, "override the RNG seed"),
+    "replicas": (int, "override the replica count"),
+    "horizon": (float, "override the time horizon"),
+    "n_particles": (int, "override the particle count"),
+    "threshold": (float, "override the occupation threshold"),
+    "strategy": (str, "override the search strategy"),
+    "samples": (int, "override the sample count"),
+    "margin": (int, "override the truncation margin"),
+    "workers": (int, "override the worker count"),
+    "start_site": (int, "override the herd start site"),
+}
+
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config)
-    overrides = {}
-    for name in (
-        "seed",
-        "replicas",
-        "horizon",
-        "n_particles",
-        "threshold",
-        "strategy",
-        "samples",
-        "margin",
-        "workers",
-        "start_site",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if not overrides:
-        return cfg
-    merged = dict(cfg.raw)
-    merged.update(overrides)
-    return RunConfig(raw=merged, defaults_applied=cfg.defaults_applied)
-
-
-def _print(report: dict) -> None:
-    sys.stdout.write(emit_report(report))
+    overrides = {
+        name: getattr(args, name)
+        for name in _OVERRIDES
+        if getattr(args, name, None) is not None
+    }
+    return RunConfig(raw={**cfg.raw, **overrides},
+                     defaults_applied=cfg.defaults_applied)
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +90,20 @@ def _print(report: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_wasserstein(args) -> int:
+def cmd_wasserstein(args) -> dict:
     g = parse_metric(args.metric)
     m1 = read_measure_csv(args.m1)
     m2 = read_measure_csv(args.m2)
-    if args.plan:
-        plan = optimal_plan(m1, m2, g, method=args.method)
-        write_plan_csv(args.plan, plan)
-        _print({"distance": plan.cost, "method": args.method, "plan": args.plan,
-                "transports": len(plan.pairs)})
-    else:
-        _print({"distance": wasserstein(m1, m2, g, method=args.method),
-                "method": args.method})
-    return EXIT_OK
+    if not args.plan:
+        return {"distance": wasserstein(m1, m2, g, method=args.method),
+                "method": args.method}
+    plan = optimal_plan(m1, m2, g, method=args.method)
+    write_plan_csv(args.plan, plan)
+    return {"distance": plan.cost, "method": args.method, "plan": args.plan,
+            "transports": len(plan.pairs)}
 
 
-def cmd_j(args) -> int:
+def cmd_j(args) -> dict:
     g = parse_metric(args.metric)
     x, y = parse_site(args.x), parse_site(args.y)
     m1 = read_measure_csv(args.m1)
@@ -125,14 +123,13 @@ def cmd_j(args) -> int:
         res = drift_kernel_bound(
             x, y, m1.mass, m2.mass, m1.scale(1.0 / m1.mass), m2.scale(1.0 / m2.mass), g
         )
-    _print({"value": res.value, "method": res.method,
-            "augmented_cost": res.augmented_cost})
-    return EXIT_OK
+    return {"value": res.value, "method": res.method,
+            "augmented_cost": res.augmented_cost}
 
 
-def cmd_bound(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_bound(args, cfg, rm) -> dict:
+    if cfg["strategy"] not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {cfg['strategy']!r}")
     n = int(cfg["n_particles"])
     workers = resolve_workers(cfg.get("workers"))
     if n == 1:
@@ -149,7 +146,7 @@ def cmd_bound(args) -> int:
             interior=rm.interior,
             n_workers=workers,
         )
-    payload = {
+    return {
         "bound": report.bound,
         "sup_value": report.sup_value,
         "witness": report.witness,
@@ -158,26 +155,18 @@ def cmd_bound(args) -> int:
         "closed_form_bound": rm.closed_bound,
         "variant": rm.variant,
     }
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
 
 
-def cmd_eigen(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_eigen(args, cfg, rm) -> dict:
     if rm.variant not in ("birth_death", "modified_bd"):
         raise ConfigError("eigen needs a birth_death model")
     spec = rm.spec
     pair = M.bd_eigen(spec.b, spec.d, spec.K)
     series = M.comes_down_series(spec.b, spec.d, spec.K)
     if args.eta:
-        with open(args.eta, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["site", "eta"])
-            for k, v in enumerate(pair.eta, start=1):
-                writer.writerow([k, f"{v:.12g}"])
-    payload = {
+        write_csv(args.eta, ["site", "eta"],
+                  ([k, f"{v:.12g}"] for k, v in enumerate(pair.eta, start=1)))
+    return {
         "lambda_0": pair.lam,
         "residual": pair.residual,
         "K": pair.K,
@@ -189,110 +178,79 @@ def cmd_eigen(args) -> int:
             "last_increment": series.last_increment,
         },
     }
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
 
 
-def cmd_threshold(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_threshold(args, cfg, rm) -> dict:
     if rm.variant != "agents":
         raise ConfigError("threshold needs an agents model")
     th = M.herd_threshold(rm.spec.f, rm.spec.n_sites)
-    payload = {"z_star": th.z_star, "m_star": th.m_star,
-               "t_critical": th.t_critical}
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
+    return {"z_star": th.z_star, "m_star": th.m_star,
+            "t_critical": th.t_critical}
+
+
+def _sites(values) -> tuple:
+    return tuple(parse_site(str(s), "start site") for s in values)
 
 
 def _start_config(cfg: RunConfig):
     start = cfg.get("start")
     if start is None:
         raise ConfigError("config needs a start configuration")
-    return tuple(parse_site(str(s)) for s in start)
+    return _sites(start)
 
 
 def _start_pairs(cfg: RunConfig):
     pairs = cfg.get("start_pairs")
     if not pairs:
         raise ConfigError("config needs start_pairs")
-    return [
-        (
-            tuple(parse_site(str(s)) for s in y0),
-            tuple(parse_site(str(s)) for s in z0),
-        )
-        for y0, z0 in pairs
-    ]
+    return [(_sites(y0), _sites(z0)) for y0, z0 in pairs]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_simulate(args, cfg, rm) -> dict:
     traj = simulate(rm.kernel, _start_config(cfg), float(cfg["horizon"]),
                     seed=int(cfg["seed"]))
     if args.out:
-        n = len(traj.initial)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x{i}" for i in range(n)])
-            writer.writerow(["0"] + list(traj.initial))
-            for t, cfg_t in zip(traj.times, traj.configs):
-                writer.writerow([f"{t:.12g}"] + list(cfg_t))
-    payload = {
+        write_csv(
+            args.out,
+            ["t"] + [f"x{i}" for i in range(len(traj.initial))],
+            [["0", *traj.initial]]
+            + [[f"{t:.12g}", *c] for t, c in zip(traj.times, traj.configs)],
+        )
+    return {
         "n_events": traj.n_events,
         "final": list(traj.state_at(traj.horizon)),
         "horizon": traj.horizon,
         "seed": int(cfg["seed"]),
     }
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
 
 
-def cmd_couple(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_couple(args, cfg, rm) -> dict:
     y0, z0 = _start_pairs(cfg)[0]
     traj = simulate_coupled(rm.kernel, y0, z0, float(cfg["horizon"]), rm.metric,
                             seed=int(cfg["seed"]))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "distance"])
-            writer.writerow(["0", f"{config_distance(y0, z0, rm.metric):.12g}"])
-            for t, (cy, cz) in zip(traj.times, traj.states):
-                writer.writerow([f"{t:.12g}",
-                                 f"{config_distance(cy, cz, rm.metric):.12g}"])
+        write_csv(
+            args.out,
+            ["t", "distance"],
+            [["0", f"{config_distance(y0, z0, rm.metric):.12g}"]]
+            + [[f"{t:.12g}", f"{config_distance(cy, cz, rm.metric):.12g}"]
+               for t, (cy, cz) in zip(traj.times, traj.states)],
+        )
     fy, fz = traj.state_at(traj.horizon)
     final = config_distance(fy, fz, rm.metric)
-    payload = {
+    return {
         "n_events": traj.n_events,
         "final_distance": final,
         "coalesced": final == 0.0,
         "horizon": traj.horizon,
         "seed": int(cfg["seed"]),
     }
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
 
 
-def _write_fit_csv(path: str, fit) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_d", "se"])
-        for t, m, s in zip(fit.grid, fit.mean_distance, fit.se):
-            writer.writerow([f"{t:.12g}", f"{m:.12g}", f"{s:.12g}"])
-
-
-def cmd_contract(args) -> int:
+def cmd_contract(args, cfg, rm) -> tuple:
     """``contract`` and ``verify``: fit the contraction rate and compare it
     with the closed-form bound, or with ``--bound-override``; ``verify`` also
     reports the bound's source and the model variant."""
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
     overridden = args.bound_override is not None
     bound = args.bound_override if overridden else rm.closed_bound
     fit = contraction_estimate(
@@ -306,7 +264,9 @@ def cmd_contract(args) -> int:
         bound=bound,
     )
     if args.csv:
-        _write_fit_csv(args.csv, fit)
+        write_csv(args.csv, ["t", "mean_d", "se"],
+                  ([f"{t:.12g}", f"{m:.12g}", f"{s:.12g}"]
+                   for t, m, s in zip(fit.grid, fit.mean_distance, fit.se)))
     payload = {
         "fitted_rate": fit.fitted_rate,
         "rate_se": fit.rate_se,
@@ -319,14 +279,10 @@ def cmd_contract(args) -> int:
     if args.command == "verify":
         payload["bound_source"] = "override" if overridden else "closed_form"
         payload["variant"] = rm.variant
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_UNCONFIRMED if fit.verdict == "violated" else EXIT_OK
+    return payload, EXIT_UNCONFIRMED if fit.verdict == "violated" else EXIT_OK
 
 
-def cmd_herd(args) -> int:
-    cfg = _config_from_args(args)
-    rm = resolve_model(cfg)
+def cmd_herd(args, cfg, rm) -> dict:
     if rm.variant != "agents":
         raise ConfigError("herd needs an agents model")
     threshold = cfg.get("threshold")
@@ -353,9 +309,7 @@ def cmd_herd(args) -> int:
     if args.full:
         payload["exit_times"] = list(result.exit_times)
         payload["censored"] = list(result.censored)
-    payload.update(cfg.echo())
-    _print(payload)
-    return EXIT_OK
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -363,33 +317,24 @@ def cmd_herd(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_options(p: argparse.ArgumentParser, *names: str) -> None:
-    p.add_argument("--config", required=True, help="run configuration (JSON)")
-    table = {
-        "seed": (int, "override the RNG seed"),
-        "replicas": (int, "override the replica count"),
-        "horizon": (float, "override the time horizon"),
-        "n_particles": (int, "override the particle count"),
-        "threshold": (float, "override the occupation threshold"),
-        "strategy": (str, "override the search strategy"),
-        "samples": (int, "override the sample count"),
-        "margin": (int, "override the truncation margin"),
-        "workers": (int, "override the worker count"),
-        "start_site": (int, "override the herd start site"),
-    }
-    for name in names:
-        typ, doc = table[name]
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
-                       dest=name, help=doc)
-
-
-def _add_contract_parser(sub, name: str, doc: str) -> None:
+def _config_command(sub, name: str, doc: str, func, *overrides: str):
+    """Register a config-driven subcommand with the named override flags."""
     p = sub.add_parser(name, help=doc)
-    _add_config_options(p, "seed", "horizon", "replicas", "n_particles")
+    p.add_argument("--config", required=True, help="run configuration (JSON)")
+    for key in overrides:
+        typ, text = _OVERRIDES[key]
+        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None,
+                       dest=key, help=text)
+    p.set_defaults(func=func)
+    return p
+
+
+def _contract_command(sub, name: str, doc: str) -> None:
+    p = _config_command(sub, name, doc, cmd_contract,
+                        "seed", "horizon", "replicas", "n_particles")
     p.add_argument("--csv", default=None, help="write t,mean_d,se here")
     p.add_argument("--bound-override", type=float, default=None,
                    help="compare against this rate instead of the model bound")
-    p.set_defaults(func=cmd_contract)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,49 +363,42 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exact", "classical", "density", "kernel"])
     p.set_defaults(func=cmd_j)
 
-    p = sub.add_parser("bound", help="contraction bound by enumeration")
-    _add_config_options(p, "seed", "n_particles", "strategy", "samples",
-                        "margin", "workers")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("eigen", help="killed-chain eigenpair and series check")
-    _add_config_options(p)
+    _config_command(sub, "bound", "contraction bound by enumeration", cmd_bound,
+                    "seed", "n_particles", "strategy", "samples", "margin", "workers")
+    p = _config_command(sub, "eigen", "killed-chain eigenpair and series check",
+                        cmd_eigen)
     p.add_argument("--eta", default=None, help="write the eigenvector CSV here")
-    p.set_defaults(func=cmd_eigen)
-
-    p = sub.add_parser("threshold", help="herding threshold of an agents model")
-    _add_config_options(p)
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("simulate", help="simulate one trajectory")
-    _add_config_options(p, "seed", "horizon", "n_particles")
+    _config_command(sub, "threshold", "herding threshold of an agents model",
+                    cmd_threshold)
+    p = _config_command(sub, "simulate", "simulate one trajectory", cmd_simulate,
+                        "seed", "horizon", "n_particles")
     p.add_argument("--out", default=None, help="write the event CSV here")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("couple", help="simulate one coupled pair")
-    _add_config_options(p, "seed", "horizon", "n_particles")
+    p = _config_command(sub, "couple", "simulate one coupled pair", cmd_couple,
+                        "seed", "horizon", "n_particles")
     p.add_argument("--out", default=None, help="write the distance CSV here")
-    p.set_defaults(func=cmd_couple)
-
-    _add_contract_parser(sub, "contract", "Monte Carlo contraction-rate fit")
-
-    p = sub.add_parser("herd", help="herding persistence experiment")
-    _add_config_options(p, "seed", "horizon", "replicas", "n_particles",
-                        "threshold", "start_site")
+    _contract_command(sub, "contract", "Monte Carlo contraction-rate fit")
+    p = _config_command(sub, "herd", "herding persistence experiment", cmd_herd,
+                        "seed", "horizon", "replicas", "n_particles", "threshold",
+                        "start_site")
     p.add_argument("--full", action="store_true",
                    help="include per-replica exit times")
-    p.set_defaults(func=cmd_herd)
-
-    _add_contract_parser(sub, "verify", "bound, fit, and verdict in one run")
-
+    _contract_command(sub, "verify", "bound, fit, and verdict in one run")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "config", None) is None:  # wasserstein, j
+            cfg, payload = None, args.func(args)
+        else:
+            cfg = _config_from_args(args)
+            payload = args.func(args, cfg, resolve_model(cfg))
+        payload, code = payload if isinstance(payload, tuple) else (payload, EXIT_OK)
+        if cfg is not None:
+            payload.update(cfg.echo())
+        sys.stdout.write(emit_report(payload))
+        return code
     except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"jumpcurv: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

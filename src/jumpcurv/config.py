@@ -91,9 +91,17 @@ def emit_report(payload: Mapping, format: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_site(text: str):
+def _parse(cast, text: str, what: str):
+    """``cast(text)``, or a ConfigError naming ``what`` if text is malformed."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"{what}: cannot read {text!r}") from None
+
+
+def parse_site(text: str, what: str = "site"):
     """A site from text: an integer when the value is integral, else a real."""
-    value = float(text)
+    value = _parse(float, text, what)
     return int(value) if value.is_integer() else value
 
 
@@ -109,25 +117,40 @@ def read_measure_csv(path: str) -> FiniteMeasure:
         for row in reader:
             if not row:
                 continue
-            atoms.append(parse_site(row[0]))
-            weights.append(float(row[1]))
+            if len(row) < 2:
+                raise ConfigError(f"{path}: expected site,weight, got {row!r}")
+            atoms.append(parse_site(row[0], f"{path}: site"))
+            weights.append(_parse(float, row[1], f"{path}: weight"))
     return FiniteMeasure(atoms, weights)
 
 
-def write_measure_csv(path: str, m: FiniteMeasure) -> None:
+def write_csv(path: str, header: Sequence, rows) -> None:
+    """Write a header and rows; callers format their own cells, so sites are
+    written as they are and floats as the caller rounds them."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["site", "weight"])
-        for z, w in zip(m.atoms, m.weights):
-            writer.writerow([z, f"{w:.12g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_measure_csv(path: str, m: FiniteMeasure) -> None:
+    write_csv(path, ["site", "weight"],
+              ([z, f"{w:.12g}"] for z, w in zip(m.atoms, m.weights)))
 
 
 def write_plan_csv(path: str, plan) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "weight"])
-        for u, v, w in plan.pairs:
-            writer.writerow([u, v, f"{w:.12g}"])
+    write_csv(path, ["source", "target", "weight"],
+              ([u, v, f"{w:.12g}"] for u, v, w in plan.pairs))
+
+
+#: the declared metric kinds and their parameters, in the order the inline
+#: form lists them ("geometric:2:5" declares ratio=2 K=5)
+_DECLARED_PARAMS = {
+    "trivial": ("n",),
+    "euclidean": (),
+    "weighted_line": ("u",),
+    "geometric": ("ratio", "K"),
+}
 
 
 def parse_metric(value) -> GroundMetric:
@@ -144,21 +167,34 @@ def parse_metric(value) -> GroundMetric:
     if not isinstance(value, str):
         raise ConfigError(f"cannot interpret metric spec {value!r}")
     text = value.strip()
-    if text == "trivial":
-        return GroundMetric.trivial()
-    if text.startswith("trivial:"):
-        n = int(text.split(":", 1)[1])
-        return GroundMetric.trivial(range(n))
-    if text == "euclidean":
+    kind, sep, rest = text.partition(":")
+    if kind not in _DECLARED_PARAMS:
+        return _metric_from_file(text)
+    names = _DECLARED_PARAMS[kind]
+    values = rest.split(":") if sep else []
+    if len(values) > len(names):
+        raise ConfigError(f"{text}: a {kind} metric takes {len(names)} values")
+    return _declared_metric(kind, dict(zip(names, values)), text)
+
+
+def _declared_metric(kind: str, params: Mapping, source: str) -> GroundMetric:
+    """One of the declared kinds from its parameters, given as strings."""
+
+    def param(name, cast):
+        if name not in params:
+            raise ConfigError(f"{source}: a {kind} metric needs {name}")
+        return _parse(cast, params[name], f"{source}: {name}")
+
+    if kind == "trivial":
+        return GroundMetric.trivial(range(param("n", int)) if "n" in params else None)
+    if kind == "euclidean":
         return GroundMetric.euclidean_line()
-    if text.startswith("weighted_line:"):
-        u = [float(s) for s in text.split(":", 1)[1].split(",")]
-        return GroundMetric.weighted_line(u)
-    if text.startswith("geometric:"):
-        _, ratio, K = text.split(":")
-        r = float(ratio)
-        return GroundMetric.weighted_line([r**k for k in range(int(K))])
-    return _metric_from_file(text)
+    if kind == "weighted_line":
+        return GroundMetric.weighted_line(
+            param("u", lambda s: [float(w) for w in s.split(",")])
+        )
+    r = param("ratio", float)
+    return GroundMetric.weighted_line([r**k for k in range(param("K", int))])
 
 
 def _metric_from_dict(obj: Mapping) -> GroundMetric:
@@ -193,31 +229,15 @@ def _metric_from_file(path: str) -> GroundMetric:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty metric file")
-    # a leading number means a distance matrix; anything else is a one-line
-    # declaration whose values may themselves contain commas (u=1,2,4)
-    head = lines[0].replace(",", " ").split()
-    try:
-        float(head[0])
-        is_matrix = True
-    except ValueError:
-        is_matrix = False
-    if is_matrix:
-        rows = [[float(s) for s in ln.replace(",", " ").split()] for ln in lines]
-        return GroundMetric.general(range(len(rows)), rows)
-    tokens = lines[0].split()
-    kind = tokens[0]
-    params = dict(tok.split("=", 1) for tok in tokens[1:])
-    if kind == "trivial":
-        n = params.get("n")
-        return GroundMetric.trivial(range(int(n)) if n else None)
-    if kind == "euclidean":
-        return GroundMetric.euclidean_line()
-    if kind == "weighted_line":
-        return GroundMetric.weighted_line([float(s) for s in params["u"].split(",")])
-    if kind == "geometric":
-        r = float(params["ratio"])
-        return GroundMetric.weighted_line([r**k for k in range(int(params["K"]))])
-    raise ConfigError(f"{path}: unknown metric declaration {kind!r}")
+    # a declared kind opens a one-line declaration whose values may contain
+    # commas (u=1,2,4); anything else is a distance matrix
+    kind, *tokens = lines[0].split()
+    if kind in _DECLARED_PARAMS:
+        return _declared_metric(kind, dict(t.partition("=")[::2] for t in tokens), path)
+    what = f"{path}: not a metric declaration or distance matrix"
+    rows = [[_parse(float, s, what) for s in ln.replace(",", " ").split()]
+            for ln in lines]
+    return GroundMetric.general(range(len(rows)), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +451,10 @@ def load_config(source) -> RunConfig:
     keys win; unknown fields are rejected by name."""
     if isinstance(source, str):
         with open(source) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{source}: not valid JSON ({exc})") from None
     elif isinstance(source, Mapping):
         data = dict(source)
     else:
@@ -479,21 +502,14 @@ def load_config(source) -> RunConfig:
 # model resolution
 # ---------------------------------------------------------------------------
 
+#: each model variant's required and optional fields besides "variant"
 _MODEL_FIELDS = {
-    "two_state": {"variant", "up", "down"},
-    "birth_death": {"variant", "K", "b", "d", "u"},
-    "modified_bd": {"variant", "K", "b", "d", "u"},
-    "agents": {
-        "variant",
-        "n_sites",
-        "temperature",
-        "f",
-        "monotone",
-        "convex",
-        "f_lip",
-    },
-    "zero_range": {"variant", "n_sites", "P", "occupancy_rate"},
-    "fleming_viot": {"variant", "n_sites", "q", "beta", "P", "u", "d_inf"},
+    "two_state": ({"up", "down"}, set()),
+    "birth_death": ({"K", "b", "d"}, {"u"}),
+    "modified_bd": ({"K", "b", "d"}, {"u"}),
+    "agents": ({"n_sites", "temperature", "f"}, {"monotone", "convex", "f_lip"}),
+    "zero_range": ({"n_sites"}, {"P", "occupancy_rate"}),
+    "fleming_viot": ({"n_sites", "q", "beta"}, {"P", "u", "d_inf"}),
 }
 
 
@@ -530,9 +546,13 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
     variant = model.get("variant")
     if variant not in _MODEL_FIELDS:
         raise ConfigError(f"unknown model variant {variant!r}")
-    extra = set(model) - _MODEL_FIELDS[variant]
+    required, optional = _MODEL_FIELDS[variant]
+    extra = set(model) - required - optional - {"variant"}
     if extra:
         raise ConfigError(f"unknown model field {sorted(extra)[0]!r}")
+    missing = required - set(model)
+    if missing:
+        raise ConfigError(f"{variant} model needs field {sorted(missing)[0]!r}")
     n_particles = int(cfg.get("n_particles", 1))
     margin = int(cfg.get("margin", 5))
 

@@ -44,6 +44,9 @@ DEFAULT_TRUNCATION_MARGIN = 5
 #: hard cap on enumerated ordered pairs before the engine refuses
 DEFAULT_PAIR_CAP = 10**6
 
+#: the pair strategies of ``bound_system``
+STRATEGIES = ("exhaustive", "adjacent", "random")
+
 WORKERS_ENV = "JUMPCURV_WORKERS"
 
 

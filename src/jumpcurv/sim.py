@@ -15,8 +15,9 @@ cached plan equals the fresh one and the draws do not change.  Draws that
 land on the current state (kernel mass at the occupied site, or the diagonal
 leftover of the augmented coupling) consume time and randomness but produce
 no breakpoint, so every recorded event moves exactly one coordinate.  Such a
-no-op draw leaves the state as it was, so the coupled simulator reuses the
-current plans for the next draw and rebuilds them only after a move.
+no-op draw leaves the state as it was, so both simulators reuse the current
+rate measures (and plans) for the next draw and rebuild them only after a
+move.
 """
 
 from __future__ import annotations
@@ -142,24 +143,29 @@ def simulate(
     t = 0.0
     times = []
     configs = []
-    while True:
+
+    def rates(cfg):
         measures = [kernel.rate(i, cfg) for i in range(n)]
-        total = math.fsum(m.mass for m in measures)
-        if total <= 0.0:
-            break
+        masses = [m.mass for m in measures]
+        return measures, masses, math.fsum(masses)
+
+    measures, masses, total = rates(cfg)
+    while total > 0.0:
         t += rng.exponential(1.0 / total)
         if t > horizon:
             break
-        i = _pick([m.mass for m in measures], total, rng.random())
+        i = _pick(masses, total, rng.random())
         m = measures[i]
         dest = m.atoms[_pick(m.weights, m.mass, rng.random())]
         if dest == cfg[i]:
             # kernels may carry mass on the current site (the agents model
-            # does); such draws spend time but are not jumps
+            # does); such draws spend time but are not jumps, and the
+            # current measures stay valid
             continue
         cfg = cfg[:i] + (dest,) + cfg[i + 1 :]
         times.append(t)
         configs.append(cfg)
+        measures, masses, total = rates(cfg)
     return Trajectory(tuple(x0), tuple(times), tuple(configs), horizon, seed)
 
 

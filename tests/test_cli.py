@@ -29,8 +29,9 @@ from jumpcurv import (
     resolve_model,
     wasserstein,
     write_measure_csv,
+    write_plan_csv,
 )
-from jumpcurv import cli
+from jumpcurv import cli, config
 from jumpcurv.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -392,6 +393,17 @@ class TestBoundCommand:
         assert payload["bound"] == pytest.approx(1.0, abs=1e-12)
         assert payload["closed_form_bound"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_unknown_strategy_refused_at_every_particle_count(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", {"preset": "two-state"})
+        for n in ("1", "2"):
+            code, out, err = run_cli(
+                capsys,
+                ["bound", "--config", path, "--n-particles", n, "--strategy", "bogus"],
+            )
+            assert code == 2
+            assert out == ""
+            assert "unknown strategy 'bogus'" in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, ["bound", "--config", str(tmp_path / "absent.json")]
@@ -579,3 +591,98 @@ class TestSimulationCommands:
         code, _, err = run_cli(capsys, ["herd", "--config", path])
         assert code == 2
         assert "threshold" in err
+
+
+def test_overrides_are_config_fields():
+    assert set(cli._OVERRIDES) <= config._TOP_FIELDS
+
+
+_MEASURES = ["--m1", "m1.csv", "--m2", "m2.csv"]
+_AGENTS_WITHOUT_F = {
+    "model": {"variant": "agents", "n_sites": 3, "temperature": 1.0},
+    "n_particles": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({}, ["wasserstein", *_MEASURES, "--metric", "trivial:abc"]),
+        ({}, ["wasserstein", *_MEASURES, "--metric", "weighted_line:1,x"]),
+        ({}, ["wasserstein", *_MEASURES, "--metric", "geometric:2"]),
+        (
+            {"metric.txt": "weighted_line v=1\n"},
+            ["wasserstein", *_MEASURES, "--metric", "metric.txt"],
+        ),
+        (
+            {"m1.csv": "site,weight\n0,abc\n"},
+            ["wasserstein", *_MEASURES, "--metric", "trivial"],
+        ),
+        ({"c.json": "{not json"}, ["bound", "--config", "c.json"]),
+        ({"c.json": json.dumps(_AGENTS_WITHOUT_F)}, ["bound", "--config", "c.json"]),
+        (
+            {"c.json": json.dumps({"preset": "two-state", "start": ["x"]})},
+            ["simulate", "--config", "c.json"],
+        ),
+    ],
+    ids=[
+        "inline-trivial",
+        "inline-weighted-line",
+        "inline-geometric",
+        "metric-file",
+        "measure-row",
+        "config-json",
+        "agents-without-f",
+        "start-site",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, files, argv):
+    monkeypatch.chdir(tmp_path)
+    files = {"m1.csv": "site,weight\n0,1\n1,1\n", "m2.csv": "site,weight\n2,2\n",
+             **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("jumpcurv: error: ")
+
+
+def test_csv_outputs_byte_identical(tmp_path, capsys, monkeypatch):
+    # each of the six CSV writers on tiny fixed inputs: sites are written as
+    # they are (the float atom keeps all its digits), every other float to
+    # 12 significant digits, rows end in CRLF as csv.writer writes them
+    monkeypatch.chdir(tmp_path)
+    m1 = FiniteMeasure((0.30000000000000004, 2), (1.0, 1.0 / 3.0))
+    m2 = FiniteMeasure((1,), (4.0 / 3.0,))
+    write_measure_csv("measure.csv", m1)
+    write_plan_csv("plan.csv", optimal_plan(m1, m2, GroundMetric.euclidean_line()))
+    bd = write_config(
+        tmp_path, "bd.json",
+        {"model": {"variant": "birth_death", "K": 3, "b": 1.0, "d": 2.0}, "margin": 0},
+    )
+    two = write_config(
+        tmp_path, "two.json",
+        {"preset": "two-state", "start": [0, 1], "replicas": 30, "grid_points": 3,
+         "horizon": 0.5},
+    )
+    for argv in (
+        ["eigen", "--config", bd, "--eta", "eta.csv"],
+        ["simulate", "--config", two, "--out", "sim.csv"],
+        ["couple", "--config", two, "--out", "couple.csv"],
+        ["contract", "--config", two, "--csv", "fit.csv"],
+    ):
+        assert run_cli(capsys, argv)[0] == 0
+    expected = {
+        "measure.csv": b"site,weight\r\n0.30000000000000004,1\r\n2,0.333333333333\r\n",
+        "plan.csv": b"source,target,weight\r\n0.30000000000000004,1,1\r\n"
+                    b"2,1,0.333333333333\r\n",
+        "eta.csv": b"site,eta\r\n1,1\r\n2,2.3429230717\r\n3,3.48928854066\r\n",
+        "sim.csv": b"t,x0,x1\r\n0,0,1\r\n0.00247991916648,1,1\r\n",
+        "couple.csv": b"t,distance\r\n0,1\r\n0.00247991916648,0\r\n",
+        "fit.csv": b"t,mean_d,se\r\n0.005,0.933333333333,0.0463205555853\r\n"
+                   b"0.05,0.833333333333,0.0692045665448\r\n"
+                   b"0.5,0.433333333333,0.0920186554466\r\n",
+    }
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name

@@ -116,6 +116,19 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="at least one particle"):
             simulate(AgentsKernel(spec), (), horizon=1.0)
 
+    def test_rates_rebuilt_only_after_moves(self):
+        # agents put mass on the occupied site, so some draws are no-ops;
+        # they leave the state unchanged, so the measures of the start and of
+        # each move serve every draw until the next move: N rate calls per
+        # build, none per no-op draw
+        spec = AgentsSpec(
+            n_sites=3, temperature=1.0, f=QuadraticPreference(), n_particles=5
+        )
+        kernel = CountingKernel(AgentsKernel(spec))
+        traj = simulate(kernel, (0, 0, 0, 0, 0), horizon=20.0, seed=0)
+        assert traj.n_events > 0
+        assert kernel.calls == 5 * (traj.n_events + 1)
+
     def test_state_at_breakpoints(self):
         traj = Trajectory(
             initial=(0,), times=(1.0, 2.0), configs=((1,), (0,)), horizon=3.0, seed=0
