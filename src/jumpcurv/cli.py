@@ -189,6 +189,8 @@ def cmd_threshold(args, cfg, rm) -> dict:
 
 
 def _sites(values) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"start configuration {values!r} is not a list of sites")
     return tuple(parse_site(str(s), "start site") for s in values)
 
 
@@ -203,6 +205,11 @@ def _start_pairs(cfg: RunConfig):
     pairs = cfg.get("start_pairs")
     if not pairs:
         raise ConfigError("config needs start_pairs")
+    if not isinstance(pairs, (list, tuple)):
+        raise ConfigError(f"start_pairs {pairs!r} is not a list of pairs")
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"start pair {pair!r} is not two configurations")
     return [(_sites(y0), _sites(z0)) for y0, z0 in pairs]
 
 

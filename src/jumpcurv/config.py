@@ -245,6 +245,43 @@ def _metric_from_file(path: str) -> GroundMetric:
 # ---------------------------------------------------------------------------
 
 
+def _check_fields(spec: Mapping, kinds: Mapping, what: str, key: str = "kind",
+                 prefix: str = "") -> str:
+    """Check a ``{key: kind, ...}`` spec against ``kinds[kind] = (required,
+    optional)`` field names and return the kind; an unknown kind, an unknown
+    field or a missing field is a ConfigError naming it."""
+    kind = spec.get(key)
+    if kind not in kinds:
+        raise ConfigError(f"{prefix}unknown {what} {key} {kind!r}")
+    required, optional = kinds[kind]
+    extra = set(spec) - required - optional - {key}
+    if extra:
+        raise ConfigError(f"{prefix}unknown {what} field {sorted(extra)[0]!r}")
+    missing = required - set(spec)
+    if missing:
+        raise ConfigError(f"{prefix}{kind} {what} needs field {sorted(missing)[0]!r}")
+    return kind
+
+
+#: each generator kind's (required, optional) fields besides "kind", for rate
+#: sequences, agents preferences, zero-range routing and Fleming-Viot mutation
+_RATE_FIELDS = {
+    "const": ({"value"}, set()),
+    "linear": (set(), {"slope", "intercept"}),
+    "quadratic": (set(), {"a", "b", "c"}),
+    "geometric": ({"ratio"}, {"scale"}),
+    "csv": ({"path"}, {"column"}),
+}
+_PREFERENCE_FIELDS = {
+    "zero": (set(), set()),
+    "affine": (set(), {"slope", "offset"}),
+    "quadratic": (set(), set()),
+    "power": ({"exponent"}, set()),
+}
+_ROUTING_FIELDS = {"uniform": (set(), set())}
+_MUTATION_FIELDS = {"complete": (set(), {"rate"})}
+
+
 def expand_rates(spec, length: int, name: str) -> tuple:
     """Expand a rate spec to ``length`` values indexed 0..length-1."""
     if isinstance(spec, (int, float)):
@@ -255,19 +292,7 @@ def expand_rates(spec, length: int, name: str) -> tuple:
             raise ConfigError(f"{name}: expected {length} values, got {len(vals)}")
         return vals
     if isinstance(spec, Mapping):
-        kind = spec.get("kind")
-        known = {
-            "const": {"value"},
-            "linear": {"slope", "intercept"},
-            "quadratic": {"a", "b", "c"},
-            "geometric": {"ratio", "scale"},
-            "csv": {"path", "column"},
-        }
-        if kind not in known:
-            raise ConfigError(f"{name}: unknown rate kind {kind!r}")
-        extra = set(spec) - known[kind] - {"kind"}
-        if extra:
-            raise ConfigError(f"{name}: unknown rate field {sorted(extra)[0]!r}")
+        kind = _check_fields(spec, _RATE_FIELDS, "rate", prefix=f"{name}: ")
         if kind == "const":
             return (float(spec["value"]),) * length
         if kind == "linear":
@@ -298,7 +323,7 @@ def expand_rates(spec, length: int, name: str) -> tuple:
 def _preference_from_config(obj) -> tuple:
     """Returns (f, monotone, convex, f_lip) for an agents preference spec."""
     if isinstance(obj, Mapping):
-        kind = obj.get("kind")
+        kind = _check_fields(obj, _PREFERENCE_FIELDS, "preference")
         if kind == "zero":
             return M.ZeroPreference(), True, True, 0.0
         if kind == "affine":
@@ -309,10 +334,8 @@ def _preference_from_config(obj) -> tuple:
             return M.AffinePreference(a, b), True, True, abs(a)
         if kind == "quadratic":
             return M.QuadraticPreference(), True, True, 2.0
-        if kind == "power":
-            p = float(obj["exponent"])
-            return M.PowerPreference(p), True, True, p
-        raise ConfigError(f"unknown preference kind {kind!r}")
+        p = float(obj["exponent"])  # power
+        return M.PowerPreference(p), True, True, p
     raise ConfigError(f"cannot interpret preference spec {obj!r}")
 
 
@@ -323,7 +346,6 @@ def _preference_from_config(obj) -> tuple:
 _TOP_FIELDS = {
     "preset",
     "model",
-    "metric",
     "n_particles",
     "margin",
     "strategy",
@@ -543,16 +565,7 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
     model = cfg.get("model")
     if not isinstance(model, Mapping):
         raise ConfigError("config needs a model object")
-    variant = model.get("variant")
-    if variant not in _MODEL_FIELDS:
-        raise ConfigError(f"unknown model variant {variant!r}")
-    required, optional = _MODEL_FIELDS[variant]
-    extra = set(model) - required - optional - {"variant"}
-    if extra:
-        raise ConfigError(f"unknown model field {sorted(extra)[0]!r}")
-    missing = required - set(model)
-    if missing:
-        raise ConfigError(f"{variant} model needs field {sorted(missing)[0]!r}")
+    variant = _check_fields(model, _MODEL_FIELDS, "model", key="variant")
     n_particles = int(cfg.get("n_particles", 1))
     margin = int(cfg.get("margin", 5))
 
@@ -611,8 +624,7 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         n = int(model["n_sites"])
         P = model.get("P", {"kind": "uniform"})
         if isinstance(P, Mapping):
-            if P.get("kind") != "uniform":
-                raise ConfigError(f"unknown routing kind {P.get('kind')!r}")
+            _check_fields(P, _ROUTING_FIELDS, "routing")
             matrix = [[1.0 / n] * n for _ in range(n)]
         else:
             matrix = [[float(p) for p in row] for row in P]
@@ -633,8 +645,7 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
     n = int(model["n_sites"])
     q_cfg = model["q"]
     if isinstance(q_cfg, Mapping):
-        if q_cfg.get("kind") != "complete":
-            raise ConfigError(f"unknown mutation kind {q_cfg.get('kind')!r}")
+        _check_fields(q_cfg, _MUTATION_FIELDS, "mutation")
         rate = float(q_cfg.get("rate", 1.0))
         rows = [[rate if i != j else 0.0 for j in range(n)] for i in range(n)]
     else:

@@ -264,8 +264,8 @@ def _scan_range(args):
 
 
 def _exhaustive(kernel, g, configs, interior_set, n_workers):
-    """All ordered pairs of ``configs``, in contiguous flat-index ranges, one
-    per worker; the merge is independent of the split."""
+    """All ordered pairs of ``configs`` in contiguous flat-index ranges, one
+    scan result per worker; :func:`_report` merges them, whatever the split."""
     m = len(configs)
     # with one particle no (x_i, y_i) pair repeats, so a drift cache never hits
     cached = m > 0 and len(configs[0]) > 1
@@ -275,19 +275,8 @@ def _exhaustive(kernel, g, configs, interior_set, n_workers):
     ]
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_scan_range, jobs))
-    else:
-        results = [_scan_range(job) for job in jobs]
-    best = _Best()
-    boundary = _Best()
-    examined = 0
-    skipped = 0
-    for b, o, e, s in results:
-        best.merge(b)
-        boundary.merge(o)
-        examined += e
-        skipped += s
-    return best, boundary, examined, skipped
+            return list(pool.map(_scan_range, jobs))
+    return [_scan_range(job) for job in jobs]
 
 
 def _split_range(n: int, parts: int):
@@ -322,6 +311,28 @@ def _random_pairs(sites, n: int, samples: int, seed: int):
             yield cx, cy
 
 
+def _report(results, stats: dict, certification: str, refusal: str,
+            witness=lambda pair: pair) -> CurvatureReport:
+    """Merge scan results (best, boundary, examined, skipped) into a report:
+    refuse with ``refusal`` when no certified pair was found, add the pair
+    counts and any boundary supremum to ``stats``, and report each witness
+    pair as ``witness(pair)``."""
+    best, boundary = _Best(), _Best()
+    for b, o, _, _ in results:
+        best.merge(b)
+        boundary.merge(o)
+    if best.witness is None:
+        raise ValidationError(refusal)
+    stats["pairs_examined"] = sum(r[2] for r in results)
+    stats["pairs_skipped_zero_distance"] = sum(r[3] for r in results)
+    if boundary.witness is not None:
+        stats["boundary_sup"] = boundary.value
+        stats["boundary_witness"] = witness(boundary.witness)
+    return CurvatureReport(
+        -best.value, best.value, witness(best.witness), certification, stats
+    )
+
+
 def bound_single(
     kernel,
     g: GroundMetric,
@@ -343,29 +354,15 @@ def bound_single(
     if unknown:
         raise ValidationError(f"interior contains unknown sites {sorted(unknown)!r}")
 
-    best, boundary, pairs, skipped = _exhaustive(
+    results = _exhaustive(
         kernel, g, [(x,) for x in sites], interior_set, resolve_workers(n_workers)
     )
-    if best.witness is None:
-        raise ValidationError("no certified site pair with positive distance")
-    stats = {
-        "engine": "single",
-        "pairs_examined": pairs,
-        "pairs_skipped_zero_distance": skipped,
-        "interior_sites": len(interior_set),
-        "total_sites": len(sites),
-    }
-    if boundary.witness is not None:
-        (bx,), (by,) = boundary.witness
-        stats["boundary_sup"] = boundary.value
-        stats["boundary_witness"] = (bx, by)
-    (x,), (y,) = best.witness
-    return CurvatureReport(
-        bound=-best.value,
-        sup_value=best.value,
-        witness=(x, y),
-        certification="exact_enumeration",
-        search_stats=stats,
+    stats = {"engine": "single", "interior_sites": len(interior_set),
+             "total_sites": len(sites)}
+    return _report(
+        results, stats, "exact_enumeration",
+        "no certified site pair with positive distance",
+        witness=lambda pair: (pair[0][0], pair[1][0]),
     )
 
 
@@ -410,7 +407,7 @@ def bound_system(
                 f"(cap {pair_cap}); use strategy='random'"
             )
         configs = list(itertools.product(sites, repeat=n_particles))
-        result = _exhaustive(kernel, g, configs, interior_set, resolve_workers(n_workers))
+        results = _exhaustive(kernel, g, configs, interior_set, resolve_workers(n_workers))
         certification = "exact_enumeration"
     elif strategy == "adjacent":
         total = len(sites) ** n_particles * n_particles * max(len(sites) - 1, 0)
@@ -419,7 +416,7 @@ def bound_system(
                 f"adjacent enumeration would visit {total} pairs (cap {pair_cap})"
             )
         pairs = _adjacent_pairs(sites, n_particles)
-        result = _scan(kernel, g, pairs, interior_set, {})
+        results = [_scan(kernel, g, pairs, interior_set, {})]
         certification = "sampled"
     elif strategy == "random":
         if not 1 <= samples <= pair_cap:
@@ -427,26 +424,14 @@ def bound_system(
                 f"samples must be between 1 and the pair cap {pair_cap}, got {samples}"
             )
         pairs = _random_pairs(sites, n_particles, samples, seed)
-        result = _scan(kernel, g, pairs, interior_set, {})
+        results = [_scan(kernel, g, pairs, interior_set, {})]
         stats["seed"] = seed
         certification = "sampled"
     else:
         raise ValidationError(f"unknown strategy {strategy!r}")
 
-    best, boundary, pairs_examined, skipped = result
-    if best.witness is None:
-        raise ValidationError("no certified configuration pair was examined")
-    stats["pairs_examined"] = pairs_examined
-    stats["pairs_skipped_zero_distance"] = skipped
-    if boundary.witness is not None:
-        stats["boundary_sup"] = boundary.value
-        stats["boundary_witness"] = boundary.witness
-    return CurvatureReport(
-        bound=-best.value,
-        sup_value=best.value,
-        witness=best.witness,
-        certification=certification,
-        search_stats=stats,
+    return _report(
+        results, stats, certification, "no certified configuration pair was examined"
     )
 
 

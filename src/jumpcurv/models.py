@@ -420,19 +420,38 @@ def discrete_curvature(P, g: GroundMetric):
         raise ValidationError("routing matrix rows must sum to 1")
     rows = [FiniteMeasure(sites, P[i]) for i in range(n)]
     theta = np.full((n, n), math.nan)
-    theta_star = math.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dist = g.dist(sites[i], sites[j])
-            if dist == 0.0:
-                continue
-            theta[i, j] = 1.0 - wasserstein(rows[i], rows[j], g) / dist
-            theta_star = min(theta_star, theta[i, j])
-    if not math.isfinite(theta_star):
+    pairs = _site_pairs(g)
+    for i, j, dist in pairs:
+        theta[i, j] = 1.0 - wasserstein(rows[i], rows[j], g) / dist
+    return theta, float(min(theta[i, j] for i, j, _ in pairs))
+
+
+def _site_pairs(g: GroundMetric) -> list:
+    """(i, j, d(x_i, x_j)) over the ordered site pairs of g at positive distance."""
+    sites = g.require_sites()
+    pairs = [
+        (i, j, dist)
+        for i, x in enumerate(sites)
+        for j, y in enumerate(sites)
+        if i != j and (dist := g.dist(x, y)) > 0.0
+    ]
+    if not pairs:
         raise ValidationError("no site pair with positive distance")
-    return theta, float(theta_star)
+    return pairs
+
+
+def _pair_lipschitz(points: Sequence, dist, *diffs) -> list:
+    """For each ``diff``, the largest diff(p, q) / dist(p, q) over the
+    unordered pairs of ``points`` at positive distance (0 when there are
+    none).  ``dist`` is called on every pair, in order."""
+    lips = [0.0] * len(diffs)
+    for a, p in enumerate(points):
+        for q in points[a + 1 :]:
+            d = dist(p, q)
+            if d > 0.0:
+                for k, diff in enumerate(diffs):
+                    lips[k] = max(lips[k], diff(p, q) / d)
+    return lips
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +535,11 @@ def zero_range_bound(
                 by_site.setdefault(x, []).append((cfg, c))
         lip_term = 0.0
         for x, entries in by_site.items():
-            lip = 0.0
-            for a in range(len(entries)):
-                for b in range(a + 1, len(entries)):
-                    dist = config_distance(entries[a][0], entries[b][0], g)
-                    if dist > 0.0:
-                        lip = max(lip, abs(entries[a][1] - entries[b][1]) / dist)
+            (lip,) = _pair_lipschitz(
+                entries,
+                lambda p, q: config_distance(p[0], q[0], g),
+                lambda p, q: abs(p[1] - q[1]),
+            )
             lip_term = max(lip_term, (1.0 - spec.P[index[x], index[x]]) * lip)
         pairs = [
             theta[index[x], index[y]] * min(cmin[x], cmin[y])
@@ -544,12 +562,9 @@ def zero_range_bound(
             raise ValidationError("zr mode needs the occupancy rate")
         N = spec.n_particles
         occ = range(1, N + 1)
-        czr_min = {x: min(spec.zr_rate(x, n) for n in occ) for x in sites}
+        czr_min = [min(spec.zr_rate(x, n) for n in occ) for x in sites]
         front = min(
-            theta[index[x], index[y]] * min(czr_min[x], czr_min[y])
-            for x in sites
-            for y in sites
-            if x != y and not math.isnan(theta[index[x], index[y]])
+            theta[i, j] * min(czr_min[i], czr_min[j]) for i, j, _ in _site_pairs(g)
         )
         lip_term = 0.0
         for x in sites:
@@ -634,19 +649,14 @@ def fv_bound(spec: FlemingViotSpec, g: GroundMetric) -> float:
     d_inf = g.max_distance() if spec.d_inf is None else float(spec.d_inf)
     beta_inf = max(float(spec.beta[x]) for x in sites)
     worst = -math.inf
-    for x in sites:
-        for y in sites:
-            if x == y:
-                continue
-            dist = g.dist(x, y)
-            if dist == 0.0:
-                continue
-            term = (
-                drift_exact(x, y, spec.q[x], spec.q[y], g).value / dist
-                + abs(float(spec.beta[x]) - float(spec.beta[y])) * d_inf / dist
-                - max(float(spec.beta[x]), float(spec.beta[y]))
-            )
-            worst = max(worst, term)
+    for i, j, dist in _site_pairs(g):
+        x, y = sites[i], sites[j]
+        term = (
+            drift_exact(x, y, spec.q[x], spec.q[y], g).value / dist
+            + abs(float(spec.beta[x]) - float(spec.beta[y])) * d_inf / dist
+            - max(float(spec.beta[x]), float(spec.beta[y]))
+        )
+        worst = max(worst, term)
     if not math.isfinite(worst):
         raise ValidationError("no site pair with positive distance")
     return -(1.0 - theta_star) * beta_inf - worst
@@ -691,6 +701,20 @@ class EigenPair:
     K: int
 
 
+def _killed_chain_rates(b, d, K: int, nonnegative: bool = False) -> tuple:
+    """Float rates reaching index K, deaths positive on 1..K (and with
+    ``nonnegative``, no negative rate)."""
+    b = tuple(float(r) for r in b)
+    d = tuple(float(r) for r in d)
+    if len(b) < K + 1 or len(d) < K + 1:
+        raise ValidationError(f"need rates up to index K={K}")
+    if nonnegative and (any(r < 0.0 for r in b) or any(r < 0.0 for r in d)):
+        raise ValidationError("rates must be non-negative")
+    if any(d[x] <= 0.0 for x in range(1, K + 1)):
+        raise ValidationError("death rates must be positive on 1..K")
+    return b, d
+
+
 def bd_eigen(
     b: Sequence[float],
     d: Sequence[float],
@@ -706,14 +730,7 @@ def bd_eigen(
     """
     from scipy.linalg import solve_banded
 
-    b = tuple(float(r) for r in b)
-    d = tuple(float(r) for r in d)
-    if len(b) < K + 1 or len(d) < K + 1:
-        raise ValidationError(f"need rates up to index K={K}")
-    if any(r < 0.0 for r in b) or any(r < 0.0 for r in d):
-        raise ValidationError("rates must be non-negative")
-    if any(d[x] <= 0.0 for x in range(1, K + 1)):
-        raise ValidationError("death rates must be positive on 1..K")
+    b, d = _killed_chain_rates(b, d, K, nonnegative=True)
 
     diag = np.array(
         [b[x] + d[x] for x in range(1, K)] + [d[K]], dtype=float
@@ -781,12 +798,7 @@ def comes_down_series(
     overflow long before the series itself diverges)."""
     from scipy.special import logsumexp
 
-    b = tuple(float(r) for r in b)
-    d = tuple(float(r) for r in d)
-    if len(b) < K + 1 or len(d) < K + 1:
-        raise ValidationError(f"need rates up to index K={K}")
-    if any(d[x] <= 0.0 for x in range(1, K + 1)):
-        raise ValidationError("death rates must be positive on 1..K")
+    b, d = _killed_chain_rates(b, d, K)
 
     log_alpha = np.full(K + 1, -math.inf)
     log_alpha[1] = -math.log(d[1])
@@ -911,12 +923,18 @@ def mean_field_bd_bound(
 # ---------------------------------------------------------------------------
 
 
-def _sample_distance(p, q, g: GroundMetric) -> float:
-    (x1, cfg1), (x2, cfg2) = p, q
-    dist = g.dist(x1, x2)
-    if cfg1 is not None and cfg2 is not None:
-        dist += config_distance(cfg1, cfg2, g)
-    return dist
+#: each displacement family's bound as a formula over its named constants
+_FAMILY_BOUNDS = {
+    "exponential": lambda c: -2.0 * c["beta_over_lambda_lip"],
+    "gaussian": lambda c: (
+        -2.0 * c["beta_inf"] * c["sqrt_sigma_lip"]
+        - 2.0 * c["beta_lip"] * c["sigma_row_norm_inf"]
+    ),
+    "discrete": lambda c: (
+        -2.0 * c["beta_inf"] * c["alpha_lip"]
+        - 2.0 * c["beta_lip"] * c["alpha_moment_inf"]
+    ),
+}
 
 
 def kernel_family_bound(
@@ -950,21 +968,10 @@ def kernel_family_bound(
     """
     if constants is not None:
         c = dict(constants)
+        if family not in _FAMILY_BOUNDS:
+            raise ValidationError(f"unknown kernel family {family!r}")
         try:
-            if family == "exponential":
-                value = -2.0 * c["beta_over_lambda_lip"]
-            elif family == "gaussian":
-                value = (
-                    -2.0 * c["beta_inf"] * c["sqrt_sigma_lip"]
-                    - 2.0 * c["beta_lip"] * c["sigma_row_norm_inf"]
-                )
-            elif family == "discrete":
-                value = (
-                    -2.0 * c["beta_inf"] * c["alpha_lip"]
-                    - 2.0 * c["beta_lip"] * c["alpha_moment_inf"]
-                )
-            else:
-                raise ValidationError(f"unknown kernel family {family!r}")
+            value = _FAMILY_BOUNDS[family](c)
         except KeyError as exc:
             raise ValidationError(f"missing constant {exc.args[0]!r}") from None
         return ModelBound(value, certified=True, method="supplied", details=c)
@@ -972,91 +979,80 @@ def kernel_family_bound(
     if not sample or g is None:
         raise ValidationError("need either constants or (sample, g)")
 
+    def dist(p, q):
+        (x1, cfg1, *_), (x2, cfg2, *_) = p, q
+        d = g.dist(x1, x2)
+        if cfg1 is not None and cfg2 is not None:
+            d += config_distance(cfg1, cfg2, g)
+        return d
+
     if family == "exponential":
-        points = [((x, cfg), beta, lam) for x, cfg, beta, lam in sample]
-        for _, beta, lam in points:
+        points = [(x, cfg, beta, lam) for x, cfg, beta, lam in sample]
+        for _, _, beta, lam in points:
             if lam <= 0.0 or beta < 0.0:
                 raise ValidationError("need lambda > 0 and beta >= 0")
-        lip = 0.0
-        for a in range(len(points)):
-            for b_ in range(a + 1, len(points)):
-                (p, bp, lp), (q, bq, lq) = points[a], points[b_]
-                if (bp - bq) * (lp - lq) > 1e-12:
-                    raise ValidationError(
-                        "beta and lambda must be anti-monotone on the sample"
-                    )
-                dist = _sample_distance(p, q, g)
-                if dist > 0.0:
-                    lip = max(lip, abs(bp / lp - bq / lq) / dist)
-        value = -2.0 * lip
+
+        def checked_dist(p, q):  # anti-monotone on every pair, at any distance
+            if (p[2] - q[2]) * (p[3] - q[3]) > 1e-12:
+                raise ValidationError(
+                    "beta and lambda must be anti-monotone on the sample"
+                )
+            return dist(p, q)
+
+        (lip,) = _pair_lipschitz(
+            points, checked_dist, lambda p, q: abs(p[2] / p[3] - q[2] / q[3])
+        )
         est = {"beta_over_lambda_lip": lip}
 
-    elif family == "gaussian":
-        points = [((x, cfg), beta, np.asarray(sig, dtype=float)) for x, cfg, beta, sig in sample]
-        for _, beta, sig in points:
-            if np.any(sig < 0.0) or beta < 0.0:
-                raise ValidationError("need nonnegative beta and variances")
-        beta_inf = max(beta for _, beta, _ in points)
-        row_norm = max(float(np.sqrt(np.sum(sig**2))) for _, _, sig in points)
-        beta_lip = 0.0
-        sqrt_lip = 0.0
-        for a in range(len(points)):
-            for b_ in range(a + 1, len(points)):
-                (p, bp, sp), (q, bq, sq) = points[a], points[b_]
-                dist = _sample_distance(p, q, g)
-                if dist > 0.0:
-                    beta_lip = max(beta_lip, abs(bp - bq) / dist)
-                    frob = float(np.sqrt(np.sum((np.sqrt(sp) - np.sqrt(sq)) ** 2)))
-                    sqrt_lip = max(sqrt_lip, frob / dist)
-        value = -2.0 * beta_inf * sqrt_lip - 2.0 * beta_lip * row_norm
-        est = {
-            "beta_inf": beta_inf,
-            "beta_lip": beta_lip,
-            "sqrt_sigma_lip": sqrt_lip,
-            "sigma_row_norm_inf": row_norm,
-        }
-
-    elif family == "discrete":
-        if support_halfwidth is None:
-            raise ValidationError("discrete family needs support_halfwidth")
-        n = int(support_halfwidth)
-        points = []
-        for x, cfg, beta, alpha in sample:
-            if abs(alpha.mass - 1.0) > 1e-9:
-                raise ValidationError("displacement laws must have mass 1")
-            for z in alpha.atoms:
-                if not (isinstance(z, (int, np.integer)) and -n <= z <= n):
-                    raise ValidationError(
-                        f"displacement {z!r} outside {{-{n}..{n}}}"
-                    )
-            points.append(((x, cfg), float(beta), alpha))
-        beta_inf = max(beta for _, beta, _ in points)
-        moment = max(abs_first_moment(alpha) for _, _, alpha in points)
-        beta_lip = 0.0
-        alpha_lip = 0.0
-        for a in range(len(points)):
-            for b_ in range(a + 1, len(points)):
-                (p, bp, ap), (q, bq, aq) = points[a], points[b_]
-                dist = _sample_distance(p, q, g)
-                if dist > 0.0:
-                    beta_lip = max(beta_lip, abs(bp - bq) / dist)
-                    norm = math.fsum(
-                        (n - k) * abs(ap.weight_at(k) - aq.weight_at(k))
-                        for k in range(-n, n + 1)
-                    )
-                    alpha_lip = max(alpha_lip, norm / dist)
-        value = -2.0 * beta_inf * alpha_lip - 2.0 * beta_lip * moment
-        est = {
-            "beta_inf": beta_inf,
-            "beta_lip": beta_lip,
-            "alpha_lip": alpha_lip,
-            "alpha_moment_inf": moment,
-        }
-
     else:
-        raise ValidationError(f"unknown kernel family {family!r}")
+        if family == "gaussian":
+            points = [
+                (x, cfg, beta, np.asarray(sig, dtype=float))
+                for x, cfg, beta, sig in sample
+            ]
+            for _, _, beta, sig in points:
+                if np.any(sig < 0.0) or beta < 0.0:
+                    raise ValidationError("need nonnegative beta and variances")
+            names = ("sqrt_sigma_lip", "sigma_row_norm_inf")
+            law_gap = lambda p, q: float(
+                np.sqrt(np.sum((np.sqrt(p[3]) - np.sqrt(q[3])) ** 2))
+            )
+            law_size = lambda sig: float(np.sqrt(np.sum(sig**2)))
+        elif family == "discrete":
+            if support_halfwidth is None:
+                raise ValidationError("discrete family needs support_halfwidth")
+            n = int(support_halfwidth)
+            points = []
+            for x, cfg, beta, alpha in sample:
+                if abs(alpha.mass - 1.0) > 1e-9:
+                    raise ValidationError("displacement laws must have mass 1")
+                for z in alpha.atoms:
+                    if not (isinstance(z, (int, np.integer)) and -n <= z <= n):
+                        raise ValidationError(
+                            f"displacement {z!r} outside {{-{n}..{n}}}"
+                        )
+                points.append((x, cfg, float(beta), alpha))
+            names = ("alpha_lip", "alpha_moment_inf")
+            law_gap = lambda p, q: math.fsum(
+                (n - k) * abs(p[3].weight_at(k) - q[3].weight_at(k))
+                for k in range(-n, n + 1)
+            )
+            law_size = abs_first_moment
+        else:
+            raise ValidationError(f"unknown kernel family {family!r}")
+        beta_lip, law_lip = _pair_lipschitz(
+            points, dist, lambda p, q: abs(p[2] - q[2]), law_gap
+        )
+        est = {
+            "beta_inf": max(p[2] for p in points),
+            "beta_lip": beta_lip,
+            names[0]: law_lip,
+            names[1]: max(law_size(p[3]) for p in points),
+        }
 
-    return ModelBound(value, certified=False, method="sampled", details=est)
+    return ModelBound(
+        _FAMILY_BOUNDS[family](est), certified=False, method="sampled", details=est
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def optimal_plan(
     if route == "trivial":
         pairs = _trivial_plan_pairs(m1, m2)
     elif route == "line":
-        pairs = _monotone_plan_pairs(m1, m2)
+        pairs = _match_in_order(zip(m1.atoms, m1.weights), zip(m2.atoms, m2.weights))
     else:
         _, pairs = _lp_solve(m1, m2, g)
     cost = math.fsum(w * g.dist(u, v) for u, v, w in pairs)
@@ -198,42 +198,30 @@ def _trivial_plan_pairs(m1: FiniteMeasure, m2: FiniteMeasure):
         if keep > 0.0:
             pairs.append((z, z, keep))
         if w1 > w2:
-            res1.append([z, w1 - w2])
+            res1.append((z, w1 - w2))
         elif w2 > w1:
-            res2.append([z, w2 - w1])
-    i = j = 0
-    while i < len(res1) and j < len(res2):
-        w = min(res1[i][1], res2[j][1])
-        pairs.append((res1[i][0], res2[j][0], w))
-        res1[i][1] -= w
-        res2[j][1] -= w
-        if res1[i][1] <= 0.0:
-            i += 1
-        if j < len(res2) and res2[j][1] <= 0.0:
-            j += 1
-    return pairs
+            res2.append((z, w2 - w1))
+    return pairs + _match_in_order(res1, res2)
 
 
-def _monotone_plan_pairs(m1: FiniteMeasure, m2: FiniteMeasure):
-    """Quantile (monotone) coupling; optimal for line metrics."""
+def _match_in_order(src, dst) -> list:
+    """Greedy in-order matching of two sorted (atom, weight) sequences of
+    equal total weight; on a line metric this is the optimal monotone
+    (quantile) coupling."""
     pairs = []
-    a1, w1 = list(m1.atoms), list(m1.weights)
-    a2, w2 = list(m2.atoms), list(m2.weights)
-    i = j = 0
-    r1 = w1[0] if w1 else 0.0
-    r2 = w2[0] if w2 else 0.0
-    while i < len(a1) and j < len(a2):
+    src, dst = iter(src), iter(dst)
+    u, r1 = next(src, (None, None))
+    v, r2 = next(dst, (None, None))
+    while r1 is not None and r2 is not None:
         w = min(r1, r2)
         if w > 0.0:
-            pairs.append((a1[i], a2[j], w))
+            pairs.append((u, v, w))
         r1 -= w
         r2 -= w
         if r1 <= 0.0:
-            i += 1
-            r1 = w1[i] if i < len(a1) else 0.0
+            u, r1 = next(src, (None, None))
         if r2 <= 0.0:
-            j += 1
-            r2 = w2[j] if j < len(a2) else 0.0
+            v, r2 = next(dst, (None, None))
     return pairs
 
 

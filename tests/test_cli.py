@@ -88,6 +88,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="replcias"):
             load_config({"model": {"variant": "two_state"}, "replcias": 5})
 
+    def test_metric_field_refused(self):
+        # the metric follows from the model; a top-level metric was never read
+        with pytest.raises(ConfigError, match="unknown config field 'metric'"):
+            load_config({"preset": "mm1-sqrt2", "metric": "trivial"})
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="no-such-preset"):
             load_config({"preset": "no-such-preset"})
@@ -180,6 +185,12 @@ class TestRateExpansion:
         with pytest.raises(ConfigError, match="foo"):
             expand_rates({"kind": "const", "value": 1.0, "foo": 2}, 3, "b")
 
+    def test_missing_field_named(self):
+        with pytest.raises(ConfigError, match="b: const rate needs field 'value'"):
+            expand_rates({"kind": "const"}, 3, "b")
+        with pytest.raises(ConfigError, match="u: geometric rate needs field 'ratio'"):
+            expand_rates({"kind": "geometric", "scale": 2.0}, 3, "u")
+
 
 class TestParseMetric:
     def test_inline_strings(self):
@@ -267,6 +278,24 @@ class TestResolveModel:
                     {"model": {"variant": "two_state", "up": 1, "down": 1, "sideways": 2}}
                 )
             )
+
+    def test_nested_spec_fields_named(self):
+        agents = {"variant": "agents", "n_sites": 3, "temperature": 1.0}
+        fv = {"variant": "fleming_viot", "n_sites": 3, "beta": [1.0, 0.0, 0.0]}
+        zr = {"variant": "zero_range", "n_sites": 3}
+        for model, message in (
+            ({**agents, "f": {"kind": "power"}},
+             "power preference needs field 'exponent'"),
+            ({**agents, "f": {"kind": "affine", "slop": 2.0}},
+             "unknown preference field 'slop'"),
+            ({**fv, "q": {"kind": "complete", "rte": 5.0}},
+             "unknown mutation field 'rte'"),
+            ({**fv, "q": {"kind": "star"}}, "unknown mutation kind 'star'"),
+            ({**zr, "P": {"kind": "uniform", "p": 0.5}}, "unknown routing field 'p'"),
+            ({**zr, "P": {"kind": "ring"}}, "unknown routing kind 'ring'"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                resolve_model(load_config({"model": model}))
 
     def test_model_required(self):
         with pytest.raises(ConfigError, match="model"):
@@ -392,6 +421,48 @@ class TestBoundCommand:
         # preference-free agents jump uniformly: the rate bound is exactly T
         assert payload["bound"] == pytest.approx(1.0, abs=1e-12)
         assert payload["closed_form_bound"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_range_system_bound(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "zr.json",
+            {
+                "model": {
+                    "variant": "zero_range",
+                    "n_sites": 3,
+                    "occupancy_rate": {"kind": "linear", "slope": 0.5, "intercept": 1.0},
+                },
+                "n_particles": 2,
+            },
+        )
+        code, payload = run_json(capsys, ["bound", "--config", path])
+        assert code == 0
+        assert payload["variant"] == "zero_range"
+        assert payload["certification"] == "exact_enumeration"
+        assert payload["search_stats"]["pairs_examined"] == 72
+        assert payload["bound"] >= payload["closed_form_bound"] - 1e-9
+
+    def test_fleming_viot_matrix_forms(self, tmp_path, capsys):
+        # a q matrix equal to {"kind": "complete", "rate": 1.0}, alone and with
+        # an identity routing matrix, gives the fv-discrete preset's numbers
+        preset = write_config(tmp_path, "fv.json", {"preset": "fv-discrete"})
+        _, want = run_json(capsys, ["bound", "--config", preset])
+        model = {
+            "variant": "fleming_viot",
+            "n_sites": 3,
+            "q": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+            "beta": [1.0, 0.0, 0.0],
+        }
+        identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        for extra in ({}, {"P": identity}):
+            path = write_config(
+                tmp_path, "q.json",
+                {"preset": "fv-discrete", "model": {**model, **extra}},
+            )
+            code, got = run_json(capsys, ["bound", "--config", path])
+            assert code == 0
+            for key in ("bound", "closed_form_bound", "witness", "search_stats"):
+                assert got[key] == want[key], (extra, key)
 
     def test_unknown_strategy_refused_at_every_particle_count(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", {"preset": "two-state"})
@@ -604,6 +675,27 @@ _AGENTS_WITHOUT_F = {
 }
 
 
+def _bd(**rates) -> str:
+    return json.dumps(
+        {"model": {"variant": "birth_death", "K": 10, "b": 1.0, "d": 2.0, **rates}}
+    )
+
+
+def _agents(f) -> str:
+    return json.dumps({"model": {"variant": "agents", "n_sites": 3,
+                                 "temperature": 1.0, "f": f}})
+
+
+def _fv(**fields) -> str:
+    model = {"variant": "fleming_viot", "n_sites": 3, "q": {"kind": "complete"},
+             "beta": [1.0, 0.0, 0.0], **fields}
+    return json.dumps({"model": model})
+
+
+_BOUND = ["bound", "--config", "c.json"]
+_COUPLE = ["couple", "--config", "c.json"]
+
+
 @pytest.mark.parametrize(
     "files, argv",
     [
@@ -624,6 +716,24 @@ _AGENTS_WITHOUT_F = {
             {"c.json": json.dumps({"preset": "two-state", "start": ["x"]})},
             ["simulate", "--config", "c.json"],
         ),
+        ({"c.json": _bd(b={"kind": "const"})}, _BOUND),
+        ({"c.json": _bd(u={"kind": "geometric"})}, _BOUND),
+        ({"c.json": _bd(d={"kind": "csv"})}, _BOUND),
+        ({"c.json": _bd(b={"kind": "linear", "slop": 2.0})}, _BOUND),
+        ({"c.json": _agents({"kind": "power"})}, _BOUND),
+        ({"c.json": _agents({"kind": "affine", "slop": 2.0})}, _BOUND),
+        ({"c.json": _agents({"kind": "zero", "slope": 1.0})}, _BOUND),
+        ({"c.json": _fv(q={"kind": "complete", "rte": 5.0})}, _BOUND),
+        (
+            {"c.json": json.dumps({"model": {"variant": "zero_range", "n_sites": 3,
+                                             "P": {"kind": "uniform", "p": 0.5}}})},
+            _BOUND,
+        ),
+        ({"c.json": json.dumps({"preset": "mm1-sqrt2", "metric": "trivial"})}, _BOUND),
+        ({"c.json": json.dumps({"preset": "two-state", "start_pairs": [[[0]]]})},
+         _COUPLE),
+        ({"c.json": json.dumps({"preset": "two-state", "start_pairs": [[0, 1]]})},
+         _COUPLE),
     ],
     ids=[
         "inline-trivial",
@@ -634,6 +744,18 @@ _AGENTS_WITHOUT_F = {
         "config-json",
         "agents-without-f",
         "start-site",
+        "const-without-value",
+        "geometric-without-ratio",
+        "csv-without-path",
+        "rate-unknown-field",
+        "power-without-exponent",
+        "preference-unknown-field",
+        "zero-preference-field",
+        "mutation-unknown-field",
+        "routing-unknown-field",
+        "top-level-metric",
+        "start-pair-one-configuration",
+        "start-pair-of-sites",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, files, argv):

@@ -361,6 +361,26 @@ class TestZeroRange:
         assert got.value == pytest.approx(0.5 * kappa, abs=1e-12)
         assert got.certified
 
+    def test_general_configuration_dependent_rate(self):
+        # c_x(config) = 1 + 2 config[0] + config[1]: rates 1, 2, 3, 4 on
+        # (0,0), (0,1), (1,0), (1,1), and theta = 0.5 both ways, so the front
+        # term is 0.5 min(1, 2) = 0.5.  Site 0 sees rates 1, 2, 3 and site 1
+        # sees 2, 3, 4; on each the slopes are 2, 4, 1 and 1, 4, 2, the
+        # steepest on the first and third entries, so the term is
+        # max(0.2 * 4, 0.3 * 4) = 1.2
+        g = GroundMetric.trivial((0, 1))
+        P = np.array([[0.8, 0.2], [0.3, 0.7]])
+        spec = ZeroRangeSpec(
+            sites=(0, 1), P=P, n_particles=2,
+            rate=lambda x, cfg: 1.0 + 2.0 * cfg[0] + cfg[1],
+        )
+        configs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        got = zero_range_bound(spec, g, mode="general", configs=configs,
+                               exhaustive=True)
+        assert got.details["lip_term"] == pytest.approx(1.2, abs=1e-12)
+        assert got.value == pytest.approx(0.5 - 1.2, abs=1e-12)
+        assert got.certified
+
     def test_general_needs_scan(self):
         g = GroundMetric.trivial((0, 1))
         spec = ZeroRangeSpec(
@@ -626,6 +646,54 @@ class TestKernelFamilies:
         )
         assert got.details["alpha_lip"] == pytest.approx(cdf_sum / 1.0, abs=1e-12)
         assert got.value == pytest.approx(-2.0 * beta * cdf_sum, abs=1e-12)
+
+    # three-point samples whose steepest pairs include the first and third
+    # points, a pair that is neither scanned first nor adjacent in the sample
+    # order; every constant is worked out by hand over the three pairs
+
+    def test_exponential_three_point_sample(self):
+        # beta/lambda = 2, 0.125, 0.5 at x = 0, 3, 1: slopes 0.625, 1.5, 0.1875
+        g = GroundMetric.euclidean_line()
+        sample = [(0.0, None, 2.0, 1.0), (3.0, None, 0.5, 4.0), (1.0, None, 1.0, 2.0)]
+        got = kernel_family_bound("exponential", sample=sample, g=g)
+        assert got.details == {"beta_over_lambda_lip": 1.5}
+        assert got.value == -3.0
+
+    def test_gaussian_three_point_sample(self):
+        # sqrt(Sigma) = (2, 0), (1, 0), (0, 3) at x = 2, 0, 1
+        g = GroundMetric.euclidean_line()
+        sample = [
+            (2.0, None, 1.0, (4.0, 0.0)),
+            (0.0, None, 0.5, (1.0, 0.0)),
+            (1.0, None, 2.0, (0.0, 9.0)),
+        ]
+        got = kernel_family_bound("gaussian", sample=sample, g=g)
+        assert got.details["beta_inf"] == 2.0
+        # |delta beta| / d = 0.5/2, 1/1, 1.5/1
+        assert got.details["beta_lip"] == pytest.approx(1.5, abs=1e-12)
+        # ||delta sqrt(Sigma)|| / d = 1/2, sqrt(13)/1, sqrt(10)/1
+        assert got.details["sqrt_sigma_lip"] == pytest.approx(math.sqrt(13.0), abs=1e-12)
+        assert got.details["sigma_row_norm_inf"] == pytest.approx(9.0, abs=1e-12)
+        assert got.value == pytest.approx(
+            -2.0 * 2.0 * math.sqrt(13.0) - 2.0 * 1.5 * 9.0, abs=1e-12
+        )
+
+    def test_discrete_three_point_sample(self):
+        # n = 1: the norm weighs |delta mu(k)| by n - k = 2, 1, 0 at k = -1, 0, 1
+        g = GroundMetric.euclidean_line()
+        sample = [
+            (0.0, None, 1.0, FiniteMeasure((-1,), (1.0,))),
+            (2.0, None, 0.25, FiniteMeasure((1,), (1.0,))),
+            (1.0, None, 0.5, FiniteMeasure((0, 1), (0.5, 0.5))),
+        ]
+        got = kernel_family_bound("discrete", sample=sample, g=g, support_halfwidth=1)
+        assert got.details["beta_inf"] == 1.0
+        # |delta beta| / d = 0.75/2, 0.5/1, 0.25/1
+        assert got.details["beta_lip"] == pytest.approx(0.5, abs=1e-12)
+        # norms 2, 2.5, 0.5 over distances 2, 1, 1
+        assert got.details["alpha_lip"] == pytest.approx(2.5, abs=1e-12)
+        assert got.details["alpha_moment_inf"] == pytest.approx(1.0, abs=1e-12)
+        assert got.value == pytest.approx(-2.0 * 1.0 * 2.5 - 2.0 * 0.5 * 1.0, abs=1e-12)
 
     def test_missing_constant(self):
         with pytest.raises(ValidationError, match="missing constant"):
