@@ -20,8 +20,8 @@ Values are immutable; all operations return new objects.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 Site = Union[int, float]
@@ -65,7 +65,7 @@ class FiniteMeasure:
     mass zero and is a valid value.
     """
 
-    __slots__ = ("atoms", "weights", "mass")
+    __slots__ = ("atoms", "weights", "mass", "_hash")
 
     def __init__(self, atoms: Iterable[Site], weights: Iterable[float]):
         acc: dict = {}
@@ -83,6 +83,7 @@ class FiniteMeasure:
         self.atoms: tuple = tuple(z for z, _ in pairs)
         self.weights: tuple = tuple(w for _, w in pairs)
         self.mass: float = math.fsum(self.weights)
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -133,7 +134,18 @@ class FiniteMeasure:
         return self.atoms == other.atoms and self.weights == other.weights
 
     def __hash__(self):
-        return hash((self.atoms, self.weights))
+        # computed once: drift and plan caches key on measures they hash
+        # again and again
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.atoms, self.weights))
+        return h
+
+    def __getstate__(self):
+        # the stored hash is left out: string hashes differ between processes
+        return None, {
+            "atoms": self.atoms, "weights": self.weights, "mass": self.mass, "_hash": None
+        }
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{z}: {w:g}" for z, w in zip(self.atoms, self.weights))
@@ -141,14 +153,17 @@ class FiniteMeasure:
 
 
 def masses_match(m1: FiniteMeasure, m2: FiniteMeasure) -> bool:
-    return abs(m1.mass - m2.mass) <= MASS_RTOL * max(m1.mass, m2.mass, 1.0)
+    return _masses_agree(m1.mass, m2.mass)
 
 
-def require_equal_mass(m1: FiniteMeasure, m2: FiniteMeasure) -> None:
-    if not masses_match(m1, m2):
-        raise MassMismatchError(
-            f"total masses differ: {m1.mass!r} vs {m2.mass!r}"
-        )
+def _masses_agree(mass1: float, mass2: float) -> bool:
+    return abs(mass1 - mass2) <= MASS_RTOL * max(mass1, mass2, 1.0)
+
+
+def require_equal_mass(mass1: float, mass2: float) -> None:
+    """Raise MassMismatchError unless two total masses agree to MASS_RTOL."""
+    if not _masses_agree(mass1, mass2):
+        raise MassMismatchError(f"total masses differ: {mass1!r} vs {mass2!r}")
 
 
 def cdf_eval(m: FiniteMeasure, t: float) -> float:
@@ -176,9 +191,13 @@ class LineBaseMeasure:
 
     atoms: tuple = ()        # ((position, weight), ...)
     segments: tuple = ()     # ((a, b, density), ...) meaning density on [a, b)
+    # the atoms sorted by position, split into two tuples for bisect
+    _positions: tuple = field(init=False, repr=False, compare=False)
+    _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p, w in self.atoms:
+            _as_float(p)
             if _as_float(w) < 0.0:
                 raise ValidationError(f"negative base-measure atom at {p}")
         for a, b, dens in self.segments:
@@ -186,6 +205,9 @@ class LineBaseMeasure:
                 raise ValidationError("negative segment density")
             if not a < b:
                 raise ValidationError("segment must have a < b")
+        ordered = sorted(self.atoms, key=lambda atom: atom[0])
+        object.__setattr__(self, "_positions", tuple(p for p, _ in ordered))
+        object.__setattr__(self, "_weights", tuple(w for _, w in ordered))
 
     @classmethod
     def lebesgue(cls) -> "LineBaseMeasure":
@@ -197,10 +219,16 @@ class LineBaseMeasure:
         return cls(atoms=tuple((k, _as_float(w)) for k, w in enumerate(u)))
 
     def interval_mass(self, lo: float, hi: float) -> float:
-        """Mass of [lo, hi); zero when hi <= lo."""
+        """Mass of [lo, hi); zero when hi <= lo.
+
+        The atoms in [lo, hi) are one slice of the position-sorted atoms,
+        found by two bisections; ``fsum`` rounds their sum correctly, so the
+        value does not depend on the order the atoms were given in.
+        """
         if not hi > lo:
             return 0.0
-        total = math.fsum(w for p, w in self.atoms if lo <= p < hi)
+        pos = self._positions
+        total = math.fsum(self._weights[bisect_left(pos, lo):bisect_left(pos, hi)])
         for a, b, dens in self.segments:
             left, right = max(a, lo), min(b, hi)
             if right > left and dens > 0.0:

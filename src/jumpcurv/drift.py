@@ -28,8 +28,9 @@ from .core import (
     MASS_RTOL,
     ValidationError,
     abs_first_moment,
+    require_equal_mass,
 )
-from .transport import wasserstein
+from .transport import _line_cost, wasserstein
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,43 @@ def drift_exact(
     x = y is legal (the value is then W of the augmented measures, >= 0 is
     not implied; it is 0 when m1 = m2).  No clamping: genuinely negative
     values are the interesting ones.
+
+    On line metrics the augmented measures are never built: their weights
+    are merged as :meth:`FiniteMeasure.add_atom` merges them, checked as
+    :func:`wasserstein` checks a pair, and fed to the line route's CDF walk,
+    so the value is the same float.
     """
-    a1, a2 = augmented_pair(x, y, m1, m2)
-    cost = wasserstein(a1, a2, g)
+    if g.is_line():
+        cost = _line_drift_cost(x, y, m1, m2, g)
+    else:
+        cost = wasserstein(*augmented_pair(x, y, m1, m2), g)
     value = cost - (m1.mass + m2.mass) * g.dist(x, y)
     return DriftResult(value, "exact", cost)
+
+
+def _line_drift_cost(x, y, m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric) -> float:
+    """W_g(m1 + m2(E) delta_x, m2 + m1(E) delta_y) on a line metric g."""
+    w1 = _augmented_weights(m1, x, m2.mass)
+    w2 = _augmented_weights(m2, y, m1.mass)
+    mass1 = math.fsum(w1.values())
+    mass2 = math.fsum(w2.values())
+    require_equal_mass(mass1, mass2)
+    for z in (*w1, *w2):
+        g.check_site(z)
+    if mass1 == 0.0 and mass2 == 0.0:
+        return 0.0
+    return _line_cost(w1, w2, g.base_measure)
+
+
+def _augmented_weights(m: FiniteMeasure, site, weight: float) -> dict:
+    """Atom -> weight map of m.add_atom(site, weight): the weight added to
+    any atom already at site, an exact zero dropped (with non-negative
+    weights only a zero weight at a new site sums to zero)."""
+    weights = dict(zip(m.atoms, m.weights))
+    merged = weights.get(site, 0.0) + weight
+    if merged != 0.0:
+        weights[site] = merged
+    return weights
 
 
 def drift_classical_bound(

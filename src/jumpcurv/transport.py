@@ -6,7 +6,10 @@ Three computation routes, dispatched on the metric kind:
   as half the L1 distance between the weight vectors;
 * line metrics (weighted_line / measure_line): W equals the integral of the
   CDF gap |F1 - F2| against the base measure, a finite sum over the
-  breakpoints of the two supports;
+  breakpoints of the two supports.  One walk, :func:`_line_cost`, computes
+  it from two atom -> weight maps; :func:`wasserstein_line` calls it on two
+  measures, and :func:`jumpcurv.drift.drift_exact` on the augmented weights
+  of a pair directly, without building the augmented measures;
 * general metric: an exact linear program on the support-pair cost matrix
   (HiGHS, called through scipy's binding with linprog's options), which
   also yields a vertex plan.
@@ -81,7 +84,7 @@ def _route(
 ) -> str | None:
     """Validate an equal-mass pair supported inside g and name the route
     ``method`` selects; None when both measures are empty."""
-    require_equal_mass(m1, m2)
+    require_equal_mass(m1.mass, m2.mass)
     for z in m1.atoms + m2.atoms:
         g.check_site(z)
     if m1.mass == 0.0 and m2.mass == 0.0:
@@ -133,16 +136,23 @@ def wasserstein_line(
     between consecutive support points, so the integral is the finite sum of
     gap * mu([t_j, t_{j+1})) over the sorted union of the supports.
     """
-    require_equal_mass(m1, m2)
+    require_equal_mass(m1.mass, m2.mass)
     if m1.mass == 0.0 and m2.mass == 0.0:
         return 0.0
-    points = sorted(set(m1.atoms) | set(m2.atoms))
+    return _line_cost(m1.as_dict(), m2.as_dict(), mu)
+
+
+def _line_cost(w1: dict, w2: dict, mu: LineBaseMeasure) -> float:
+    """The CDF walk of :func:`wasserstein_line` on two atom -> weight maps
+    of equal total weight: one step per point of the joint support, and one
+    ``mu.interval_mass`` per gap with a nonzero CDF difference."""
+    points = sorted(w1.keys() | w2.keys())
     total = 0.0
     f1 = 0.0
     f2 = 0.0
     for t, t_next in zip(points, points[1:]):
-        f1 += m1.weight_at(t)
-        f2 += m2.weight_at(t)
+        f1 += w1.get(t, 0.0)
+        f2 += w2.get(t, 0.0)
         gap = abs(f1 - f2)
         if gap > 0.0:
             total += gap * mu.interval_mass(t, t_next)

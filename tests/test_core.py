@@ -1,6 +1,7 @@
 """Measures, metrics, and configuration distances."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,15 @@ class TestFiniteMeasure:
     def test_weight_at_missing(self):
         assert FiniteMeasure((1,), (1.0,)).weight_at(9) == 0.0
 
+    def test_stored_hash_not_pickled(self):
+        # string hashes differ between processes, so a measure sent to a
+        # worker must hash afresh there
+        m = FiniteMeasure(("b", "a"), (1.0, 2.0))
+        assert hash(m) == hash(m) == hash((m.atoms, m.weights))
+        back = pickle.loads(pickle.dumps(m))
+        assert back._hash is None
+        assert back == m and back.mass == m.mass and hash(back) == hash(m)
+
 
 class TestCdf:
     def test_below_all_atoms(self):
@@ -116,6 +126,48 @@ class TestGroundMetric:
         g = GroundMetric.measure_line(base)
         assert g.dist(0.0, 1.0) == 1.0  # mu([0,1)) = 1
         assert g.dist(0.6, 1.0) == 0.0  # no base mass in [0.6,1)
+
+    def test_line_base_measure_rejects_nan_position(self):
+        with pytest.raises(ValidationError, match="nan"):
+            LineBaseMeasure(atoms=((0.0, 1.0), (math.nan, 1.0)))
+
+    def test_interval_mass_equals_filtered_sum(self):
+        # the bisected slice sums the same atoms as the filter lo <= p < hi,
+        # and fsum rounds correctly, so the floats are equal
+        rng = rng_for("interval-mass")
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            positions = [float(p) for p in rng.integers(-3, 8, size=n)]
+            positions[: n // 2] = [float(p) for p in rng.uniform(-3.0, 8.0, size=n // 2)]
+            atoms = tuple(
+                (p, float(w)) for p, w in zip(positions, rng.uniform(0.0, 2.0, size=n))
+            )
+            segments = tuple(
+                (float(a), float(a + span), float(dens))
+                for a, span, dens in zip(
+                    rng.uniform(-3.0, 8.0, size=2), rng.uniform(0.1, 4.0, size=2),
+                    rng.uniform(0.0, 2.0, size=2),
+                )
+            )[: int(rng.integers(0, 3))]
+            base = LineBaseMeasure(atoms=atoms, segments=segments)
+            for lo, hi in rng.uniform(-4.0, 9.0, size=(10, 2)):
+                lo, hi = float(lo), float(hi)
+                for a, b in ((lo, hi), (math.floor(lo), math.ceil(hi))):
+                    expected = 0.0
+                    if b > a:
+                        expected = math.fsum(w for p, w in atoms if a <= p < b)
+                        for s0, s1, dens in segments:
+                            left, right = max(s0, a), min(s1, b)
+                            if right > left and dens > 0.0:
+                                expected += dens * (right - left)
+                    assert base.interval_mass(a, b) == expected
+
+    def test_line_base_measure_value_semantics(self):
+        a = LineBaseMeasure(atoms=((2.0, 1.0), (0.0, 3.0)))
+        b = LineBaseMeasure(atoms=((2.0, 1.0), (0.0, 3.0)))
+        assert a == b and hash(a) == hash(b)
+        assert a != LineBaseMeasure(atoms=((0.0, 3.0), (2.0, 1.0)))
+        assert repr(a) == "LineBaseMeasure(atoms=((2.0, 1.0), (0.0, 3.0)), segments=())"
 
     def test_measure_line_matches_weighted_line_on_integers(self):
         u = (1.0, 2.0, 4.0)

@@ -7,6 +7,8 @@ import pytest
 from jumpcurv import (
     FiniteMeasure,
     GroundMetric,
+    LineBaseMeasure,
+    MassMismatchError,
     ValidationError,
     drift_classical_bound,
     drift_density_closed_form,
@@ -14,6 +16,7 @@ from jumpcurv import (
     drift_kernel_bound,
     wasserstein,
 )
+from jumpcurv.drift import augmented_pair
 
 from conftest import rng_for, random_measure, random_metric
 
@@ -173,6 +176,86 @@ class TestProperties:
             assert drift_exact(x, y, m1, m2, g).value == pytest.approx(
                 drift_exact(y, x, m2, m1, g).value, abs=1e-9
             )
+
+
+def _line_cases():
+    """(name, metric, sites) of every line-metric form the line branch of
+    drift_exact serves."""
+    K = 8
+    base = LineBaseMeasure(
+        # unsorted, with two atoms at 2.0 and one at a site between integers
+        atoms=((5.0, 0.75), (2.0, 1.5), (0.0, 0.25), (2.0, 0.5), (3.5, 2.0), (7.0, 1.0)),
+        segments=((1.0, 4.0, 0.5), (6.0, 9.0, 1.25)),
+    )
+    floats = (0.0, 0.5, 1.0, 2.0, 2.5, 3.5, 5.0, 6.25, 7.0, 8.0)
+    return [
+        ("weighted_line u = 1", GroundMetric.weighted_line([1.0] * K), tuple(range(K + 1))),
+        ("weighted_line u = 0.5**k",
+         GroundMetric.weighted_line([0.5**k for k in range(K)]), tuple(range(K + 1))),
+        ("weighted_line u = sqrt2**k",
+         GroundMetric.weighted_line([math.sqrt(2) ** k for k in range(K)]),
+         tuple(range(K + 1))),
+        ("euclidean_line", GroundMetric.euclidean_line(), floats),
+        ("measure_line", GroundMetric.measure_line(base), floats),
+    ]
+
+
+class TestLineBranch:
+    """drift_exact on line metrics merges the augmented weights itself and
+    runs the line route's CDF walk; it must give the float the augmented
+    measures give through wasserstein, and the LP value to 1e-9."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_equals_augmented_wasserstein(self, case):
+        name, g, sites = _line_cases()[case]
+        rng = rng_for(f"drift-line-branch:{name}")
+        zero = FiniteMeasure.zero()
+        for trial in range(120):
+            m1 = random_measure(rng, sites)
+            m2 = random_measure(rng, sites)
+            x, y = (sites[i] for i in rng.choice(len(sites), size=2, replace=False))
+            shape = trial % 6
+            if shape == 1:  # x in the support of m1
+                x = m1.atoms[int(rng.integers(len(m1)))]
+            elif shape == 2:
+                y = x
+            elif shape == 3:
+                m2 = zero
+            elif shape == 4:
+                m1 = zero
+            elif shape == 5:
+                m1 = m2 = zero
+            res = drift_exact(x, y, m1, m2, g)
+            a1, a2 = augmented_pair(x, y, m1, m2)
+            cost = wasserstein(a1, a2, g)
+            assert res.augmented_cost == cost
+            assert res.value == cost - (m1.mass + m2.mass) * g.dist(x, y)
+            lp = 0.0 if a1.mass == 0.0 else wasserstein(a1, a2, g, method="lp")
+            assert res.augmented_cost == pytest.approx(lp, rel=1e-9, abs=1e-9)
+
+    def test_both_empty(self):
+        z = FiniteMeasure.zero()
+        for _, g, sites in _line_cases():
+            res = drift_exact(sites[1], sites[3], z, z, g)
+            assert (res.value, res.augmented_cost) == (0.0, 0.0)
+
+    def test_nan_site_rejected(self):
+        m = FiniteMeasure((1.0,), (1.0,))
+        for _, g, _ in _line_cases():
+            with pytest.raises(ValidationError):
+                drift_exact(math.nan, 2.0, m, m, g)
+
+    def test_mass_mismatch_rejected(self):
+        # an infinite weight makes both augmented masses inf, whose
+        # difference is nan: the line branch refuses the pair as wasserstein
+        # refuses the augmented measures
+        m1 = FiniteMeasure((1,), (math.inf,))
+        m2 = FiniteMeasure((2,), (1.0,))
+        for _, g, _ in _line_cases():
+            with pytest.raises(MassMismatchError):
+                wasserstein(*augmented_pair(1, 2, m1, m2), g)
+            with pytest.raises(MassMismatchError):
+                drift_exact(1, 2, m1, m2, g)
 
 
 class TestDensityClosedForm:

@@ -40,6 +40,8 @@ from jumpcurv import (
     wasserstein,
     zero_range_bound,
 )
+from jumpcurv.config import load_config, resolve_model
+from jumpcurv.drift import augmented_pair
 
 from conftest import rng_for
 
@@ -48,6 +50,27 @@ def _random_bd_rates(rng, K):
     b = tuple(float(v) for v in rng.uniform(0.2, 2.0, size=K + 1))
     d = (0.0,) + tuple(float(v) for v in rng.uniform(0.2, 2.0, size=K))
     return b, d
+
+
+def _reference_scan(kernel, g, interior):
+    """bound_single's certified and boundary suprema and witnesses by a plain
+    scan in lexicographic pair order (strict improvement keeps the smallest
+    witness on ties), each drift from augmented_pair and wasserstein."""
+    best, boundary = (-math.inf, None), (None, None)
+    for x in g.sites:
+        for y in g.sites:
+            d_xy = g.dist(x, y)
+            if x == y or d_xy == 0.0:
+                continue
+            m1, m2 = kernel.rate(0, (x,)), kernel.rate(0, (y,))
+            cost = wasserstein(*augmented_pair(x, y, m1, m2), g)
+            ratio = (cost - (m1.mass + m2.mass) * d_xy) / d_xy
+            if x in interior and y in interior:
+                if ratio > best[0]:
+                    best = (ratio, (x, y))
+            elif boundary[1] is None or ratio > boundary[0]:
+                boundary = (ratio, (x, y))
+    return best + boundary
 
 
 class TestBuildKernel:
@@ -165,6 +188,33 @@ class TestBirthDeathBounds:
                 build_kernel(spec), bd_metric(spec), interior=bd_interior(spec, 1)
             )
             assert bd_bound(spec) == pytest.approx(rep.bound, rel=1e-12, abs=1e-12)
+
+    def test_witnesses_equal_augmented_reference_scan(self):
+        # the witness tie-break compares floats exactly, so the engine's
+        # line-metric drift must give the very floats of the augmented
+        # measures' transport solve, on every pair
+        chains = []
+        for source in (
+            {"preset": "bd-cdi", "model": {
+                "variant": "birth_death", "K": 100, "b": {"kind": "const", "value": 1.0},
+                "d": {"kind": "quadratic", "a": 1.0}, "u": {"kind": "const", "value": 1.0}}},
+            {"preset": "mm1-sqrt2"},
+        ):
+            rm = resolve_model(load_config(source))
+            chains.append((rm.kernel, rm.metric, rm.interior))
+        rng = rng_for("models-bd-witness")
+        K = 12
+        for _ in range(10):
+            b, d = _random_bd_rates(rng, K)
+            u = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=K))
+            spec = BirthDeathSpec(b=b, d=d, u=u, K=K)
+            chains.append((build_kernel(spec), bd_metric(spec), bd_interior(spec, 1)))
+        for kernel, g, interior in chains:
+            rep = bound_single(kernel, g, interior=interior)
+            sup, witness, boundary_sup, boundary_witness = _reference_scan(kernel, g, interior)
+            assert (rep.bound, rep.sup_value, rep.witness) == (-sup, sup, witness)
+            assert rep.search_stats.get("boundary_sup") == boundary_sup
+            assert rep.search_stats.get("boundary_witness") == boundary_witness
 
     def test_rate_validation(self):
         with pytest.raises(ValidationError, match="d_0"):
