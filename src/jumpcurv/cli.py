@@ -42,6 +42,7 @@ from .sim import (
     simulate_coupled,
 )
 from .config import (
+    FIELD_TYPES,
     ConfigError,
     RunConfig,
     emit_report,
@@ -59,18 +60,19 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 EXIT_UNCONFIRMED = 4
 
-#: config fields a command line flag may override: name -> (type, help)
+#: config fields a command line flag may override: name -> help; the flag's
+#: type is the field's in config.FIELD_TYPES
 _OVERRIDES = {
-    "seed": (int, "override the RNG seed"),
-    "replicas": (int, "override the replica count"),
-    "horizon": (float, "override the time horizon"),
-    "n_particles": (int, "override the particle count"),
-    "threshold": (float, "override the occupation threshold"),
-    "strategy": (str, "override the search strategy"),
-    "samples": (int, "override the sample count"),
-    "margin": (int, "override the truncation margin"),
-    "workers": (int, "override the worker count"),
-    "start_site": (int, "override the herd start site"),
+    "seed": "override the RNG seed",
+    "replicas": "override the replica count",
+    "horizon": "override the time horizon",
+    "n_particles": "override the particle count",
+    "threshold": "override the occupation threshold",
+    "strategy": "override the search strategy",
+    "samples": "override the sample count",
+    "margin": "override the truncation margin",
+    "workers": "override the worker count",
+    "start_site": "override the herd start site",
 }
 
 
@@ -329,9 +331,8 @@ def _config_command(sub, name: str, doc: str, func, *overrides: str):
     p = sub.add_parser(name, help=doc)
     p.add_argument("--config", required=True, help="run configuration (JSON)")
     for key in overrides:
-        typ, text = _OVERRIDES[key]
-        p.add_argument(f"--{key.replace('_', '-')}", type=typ, default=None,
-                       dest=key, help=text)
+        p.add_argument(f"--{key.replace('_', '-')}", type=FIELD_TYPES[key],
+                       default=None, dest=key, help=_OVERRIDES[key])
     p.set_defaults(func=func)
     return p
 

@@ -91,11 +91,11 @@ def emit_report(payload: Mapping, format: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse(cast, text: str, what: str):
+def _parse(cast, text, what: str):
     """``cast(text)``, or a ConfigError naming ``what`` if text is malformed."""
     try:
         return cast(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{what}: cannot read {text!r}") from None
 
 
@@ -206,19 +206,20 @@ def _metric_from_dict(obj: Mapping) -> GroundMetric:
         return GroundMetric.euclidean_line(obj.get("sites"))
     if kind == "weighted_line":
         if "u" in obj and isinstance(obj["u"], Sequence):
-            return GroundMetric.weighted_line([float(w) for w in obj["u"]])
+            return GroundMetric.weighted_line([_parse(float, w, "u") for w in obj["u"]])
         K = obj.get("K")
         if K is None:
             raise ConfigError("weighted_line metric needs u or (u spec, K)")
-        return GroundMetric.weighted_line(expand_rates(obj.get("u", 1.0), int(K), "u"))
+        return GroundMetric.weighted_line(
+            expand_rates(obj.get("u", 1.0), _parse(int, K, "K"), "u"))
     if kind == "general":
         return GroundMetric.general(obj["sites"], obj["matrix"])
     if kind == "measure_line":
         base = LineBaseMeasure(
-            atoms=tuple((float(p), float(w)) for p, w in obj.get("atoms", ())),
-            segments=tuple(
-                (float(a), float(b), float(d)) for a, b, d in obj.get("segments", ())
-            ),
+            atoms=tuple(tuple(_parse(float, v, "atoms") for v in atom)
+                        for atom in obj.get("atoms", ())),
+            segments=tuple(tuple(_parse(float, v, "segments") for v in segment)
+                           for segment in obj.get("segments", ())),
         )
         return GroundMetric.measure_line(base, obj.get("sites"))
     raise ConfigError(f"unknown metric kind {kind!r}")
@@ -285,33 +286,39 @@ _MUTATION_FIELDS = {"complete": (set(), {"rate"})}
 def expand_rates(spec, length: int, name: str) -> tuple:
     """Expand a rate spec to ``length`` values indexed 0..length-1."""
     if isinstance(spec, (int, float)):
-        return (float(spec),) * length
+        return (_parse(float, spec, name),) * length
     if isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
-        vals = tuple(float(v) for v in spec)
+        vals = tuple(_parse(float, v, name) for v in spec)
         if len(vals) != length:
             raise ConfigError(f"{name}: expected {length} values, got {len(vals)}")
         return vals
     if isinstance(spec, Mapping):
         kind = _check_fields(spec, _RATE_FIELDS, "rate", prefix=f"{name}: ")
+
+        def param(key, default=None):
+            return _parse(float, spec.get(key, default), f"{name}: {key}")
+
         if kind == "const":
-            return (float(spec["value"]),) * length
+            return (param("value"),) * length
         if kind == "linear":
-            a = float(spec.get("slope", 1.0))
-            c = float(spec.get("intercept", 0.0))
+            a = param("slope", 1.0)
+            c = param("intercept", 0.0)
             return tuple(c + a * x for x in range(length))
         if kind == "quadratic":
-            a = float(spec.get("a", 1.0))
-            b = float(spec.get("b", 0.0))
-            c = float(spec.get("c", 0.0))
+            a = param("a", 1.0)
+            b = param("b", 0.0)
+            c = param("c", 0.0)
             return tuple(a * x * x + b * x + c for x in range(length))
         if kind == "geometric":
-            r = float(spec["ratio"])
-            s = float(spec.get("scale", 1.0))
+            r = param("ratio")
+            s = param("scale", 1.0)
             return tuple(s * r**x for x in range(length))
         with open(spec["path"], newline="") as fh:
             reader = csv.DictReader(fh)
             col = spec.get("column", "rate")
-            vals = tuple(float(row[col]) for row in reader)
+            if col not in (reader.fieldnames or ()):
+                raise ConfigError(f"{name}: csv has no column {col!r}")
+            vals = tuple(_parse(float, row[col], f"{name}: {col}") for row in reader)
         if len(vals) != length:
             raise ConfigError(
                 f"{name}: csv has {len(vals)} rows, expected {length}"
@@ -327,14 +334,14 @@ def _preference_from_config(obj) -> tuple:
         if kind == "zero":
             return M.ZeroPreference(), True, True, 0.0
         if kind == "affine":
-            a = float(obj.get("slope", 0.0))
-            b = float(obj.get("offset", 0.0))
+            a = _parse(float, obj.get("slope", 0.0), "slope")
+            b = _parse(float, obj.get("offset", 0.0), "offset")
             if b < 0.0 or a + b < 0.0:
                 raise ConfigError("affine preference must be non-negative on [0,1]")
             return M.AffinePreference(a, b), True, True, abs(a)
         if kind == "quadratic":
             return M.QuadraticPreference(), True, True, 2.0
-        p = float(obj["exponent"])  # power
+        p = _parse(float, obj["exponent"], "exponent")  # power
         return M.PowerPreference(p), True, True, p
     raise ConfigError(f"cannot interpret preference spec {obj!r}")
 
@@ -343,24 +350,24 @@ def _preference_from_config(obj) -> tuple:
 # run configurations
 # ---------------------------------------------------------------------------
 
-_TOP_FIELDS = {
-    "preset",
-    "model",
-    "n_particles",
-    "margin",
-    "strategy",
-    "samples",
-    "seed",
-    "horizon",
-    "replicas",
-    "grid_points",
-    "start",
-    "start_pairs",
-    "start_site",
-    "threshold",
-    "workers",
-    "K",
+#: the scalar top-level fields and the type each value must convert to; a
+#: command line flag overriding one has that type
+FIELD_TYPES = {
+    "n_particles": int,
+    "margin": int,
+    "strategy": str,
+    "samples": int,
+    "seed": int,
+    "horizon": float,
+    "replicas": int,
+    "grid_points": int,
+    "start_site": int,
+    "threshold": float,
+    "workers": int,
+    "K": int,
 }
+
+_TOP_FIELDS = {"preset", "model", "start", "start_pairs", *FIELD_TYPES}
 
 _DEFAULTS = {
     "n_particles": 1,
@@ -497,6 +504,10 @@ def load_config(source) -> RunConfig:
         if key not in _TOP_FIELDS:
             raise ConfigError(f"unknown config field {key!r}")
         merged[key] = value
+    # checked, not converted: the echoed configuration keeps the given values
+    for key, cast in FIELD_TYPES.items():
+        if merged.get(key) is not None:
+            _parse(cast, merged[key], key)
 
     applied = []
     for key, value in _DEFAULTS.items():
@@ -570,7 +581,8 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
     margin = int(cfg.get("margin", 5))
 
     if variant == "two_state":
-        up, down = float(model["up"]), float(model["down"])
+        up = _parse(float, model["up"], "up")
+        down = _parse(float, model["down"], "down")
         kernel = SingleSiteKernel(
             {
                 0: FiniteMeasure((1,), (up,)),
@@ -583,7 +595,7 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         )
 
     if variant in ("birth_death", "modified_bd"):
-        K = int(model["K"])
+        K = _parse(int, model["K"], "K")
         cls = M.ModifiedBDSpec if variant == "modified_bd" else M.BirthDeathSpec
         b = expand_rates(model["b"], K + 1, "b")
         d = expand_rates(model["d"], K + 1, "d")
@@ -603,13 +615,13 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
     if variant == "agents":
         f, monotone, convex, f_lip = _preference_from_config(model["f"])
         spec = M.AgentsSpec(
-            n_sites=int(model["n_sites"]),
-            temperature=float(model["temperature"]),
+            n_sites=_parse(int, model["n_sites"], "n_sites"),
+            temperature=_parse(float, model["temperature"], "temperature"),
             f=f,
             n_particles=n_particles,
             monotone=bool(model.get("monotone", monotone)),
             convex=bool(model.get("convex", convex)),
-            f_lip=float(model["f_lip"]) if "f_lip" in model else f_lip,
+            f_lip=_parse(float, model["f_lip"], "f_lip") if "f_lip" in model else f_lip,
         )
         return ResolvedModel(
             variant,
@@ -621,13 +633,13 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         )
 
     if variant == "zero_range":
-        n = int(model["n_sites"])
+        n = _parse(int, model["n_sites"], "n_sites")
         P = model.get("P", {"kind": "uniform"})
         if isinstance(P, Mapping):
             _check_fields(P, _ROUTING_FIELDS, "routing")
             matrix = [[1.0 / n] * n for _ in range(n)]
         else:
-            matrix = [[float(p) for p in row] for row in P]
+            matrix = [[_parse(float, p, "P") for p in row] for row in P]
         import numpy as np
 
         occ = expand_rates(model.get("occupancy_rate", 1.0), 2 * n_particles, "occupancy_rate")
@@ -642,14 +654,14 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         return ResolvedModel(variant, spec, M.build_kernel(spec), g, closed, None)
 
     # fleming_viot
-    n = int(model["n_sites"])
+    n = _parse(int, model["n_sites"], "n_sites")
     q_cfg = model["q"]
     if isinstance(q_cfg, Mapping):
         _check_fields(q_cfg, _MUTATION_FIELDS, "mutation")
-        rate = float(q_cfg.get("rate", 1.0))
+        rate = _parse(float, q_cfg.get("rate", 1.0), "rate")
         rows = [[rate if i != j else 0.0 for j in range(n)] for i in range(n)]
     else:
-        rows = [[float(v) for v in row] for row in q_cfg]
+        rows = [[_parse(float, v, "q") for v in row] for row in q_cfg]
     q = {
         x: FiniteMeasure(
             [y for y in range(n) if y != x and rows[x][y] > 0.0],
@@ -657,14 +669,14 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         )
         for x in range(n)
     }
-    beta = {x: float(v) for x, v in enumerate(model["beta"])}
+    beta = {x: _parse(float, v, "beta") for x, v in enumerate(model["beta"])}
     if len(beta) != n:
         raise ConfigError(f"beta needs {n} entries")
     P = model.get("P")
     if P is not None:
         import numpy as np
 
-        P = np.asarray([[float(v) for v in row] for row in P])
+        P = np.asarray([[_parse(float, v, "P") for v in row] for row in P])
     g = (
         GroundMetric.weighted_line(expand_rates(model["u"], n - 1, "u"))
         if "u" in model
@@ -675,7 +687,7 @@ def resolve_model(cfg: RunConfig) -> ResolvedModel:
         q=q,
         beta=beta,
         P=P,
-        d_inf=float(model["d_inf"]) if "d_inf" in model else None,
+        d_inf=_parse(float, model["d_inf"], "d_inf") if "d_inf" in model else None,
     )
     return ResolvedModel(
         variant, spec, M.build_kernel(spec), g, M.fv_bound(spec, g), None

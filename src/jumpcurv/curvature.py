@@ -333,6 +333,18 @@ def _report(results, stats: dict, certification: str, refusal: str,
     )
 
 
+def _interior_set(sites, interior) -> set | None:
+    """``interior`` as a set (None: every pair is certified), refused before
+    any scan if it names a site outside ``sites``."""
+    if interior is None:
+        return None
+    interior_set = set(interior)
+    unknown = interior_set - set(sites)
+    if unknown:
+        raise ValidationError(f"interior contains unknown sites {sorted(unknown)!r}")
+    return interior_set
+
+
 def bound_single(
     kernel,
     g: GroundMetric,
@@ -348,16 +360,14 @@ def bound_single(
     reported under ``search_stats["boundary_sup"]``.
     """
     sites = g.require_sites()
+    interior_set = _interior_set(sites, interior)
     kernel = _single_site_kernel(kernel, sites)
-    interior_set = set(sites if interior is None else interior)
-    unknown = interior_set - set(sites)
-    if unknown:
-        raise ValidationError(f"interior contains unknown sites {sorted(unknown)!r}")
 
     results = _exhaustive(
         kernel, g, [(x,) for x in sites], interior_set, resolve_workers(n_workers)
     )
-    stats = {"engine": "single", "interior_sites": len(interior_set),
+    stats = {"engine": "single",
+             "interior_sites": len(sites if interior_set is None else interior_set),
              "total_sites": len(sites)}
     return _report(
         results, stats, "exact_enumeration",
@@ -391,7 +401,7 @@ def bound_system(
     if n_particles < 1:
         raise ValidationError("n_particles must be >= 1")
     sites = g.require_sites()
-    interior_set = None if interior is None else set(interior)
+    interior_set = _interior_set(sites, interior)
     stats: dict = {
         "engine": "system",
         "strategy": strategy,

@@ -28,9 +28,8 @@ from .core import (
     MASS_RTOL,
     ValidationError,
     abs_first_moment,
-    require_equal_mass,
 )
-from .transport import _line_cost, wasserstein
+from .transport import _cost, wasserstein
 
 
 @dataclass(frozen=True)
@@ -63,31 +62,16 @@ def drift_exact(
     not implied; it is 0 when m1 = m2).  No clamping: genuinely negative
     values are the interesting ones.
 
-    On line metrics the augmented measures are never built: their weights
-    are merged as :meth:`FiniteMeasure.add_atom` merges them, checked as
-    :func:`wasserstein` checks a pair, and fed to the line route's CDF walk,
-    so the value is the same float.
+    The augmented measures are never built: their weights are merged as
+    :meth:`FiniteMeasure.add_atom` merges them and passed to the transport
+    route :func:`wasserstein` takes on the measures of :func:`augmented_pair`,
+    so the value is the same float on every metric.
     """
-    if g.is_line():
-        cost = _line_drift_cost(x, y, m1, m2, g)
-    else:
-        cost = wasserstein(*augmented_pair(x, y, m1, m2), g)
-    value = cost - (m1.mass + m2.mass) * g.dist(x, y)
-    return DriftResult(value, "exact", cost)
-
-
-def _line_drift_cost(x, y, m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric) -> float:
-    """W_g(m1 + m2(E) delta_x, m2 + m1(E) delta_y) on a line metric g."""
     w1 = _augmented_weights(m1, x, m2.mass)
     w2 = _augmented_weights(m2, y, m1.mass)
-    mass1 = math.fsum(w1.values())
-    mass2 = math.fsum(w2.values())
-    require_equal_mass(mass1, mass2)
-    for z in (*w1, *w2):
-        g.check_site(z)
-    if mass1 == 0.0 and mass2 == 0.0:
-        return 0.0
-    return _line_cost(w1, w2, g.base_measure)
+    cost = _cost(w1, w2, g)
+    value = cost - (m1.mass + m2.mass) * g.dist(x, y)
+    return DriftResult(value, "exact", cost)
 
 
 def _augmented_weights(m: FiniteMeasure, site, weight: float) -> dict:

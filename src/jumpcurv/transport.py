@@ -1,15 +1,15 @@
 """Exact Wasserstein-1 distances and optimal plans between finite measures.
 
-Three computation routes, dispatched on the metric kind:
+Every distance is computed from two atom -> weight maps -- two measures'
+own, or the augmented weights :func:`jumpcurv.drift.drift_exact` merges
+without building measures -- by one validate-and-dispatch, :func:`_route`:
+it checks equal mass and every site, and picks a route from the metric kind:
 
 * trivial metric: W equals the largest mass discrepancy over events, computed
-  as half the L1 distance between the weight vectors;
+  as half the L1 distance between the weight maps;
 * line metrics (weighted_line / measure_line): W equals the integral of the
   CDF gap |F1 - F2| against the base measure, a finite sum over the
-  breakpoints of the two supports.  One walk, :func:`_line_cost`, computes
-  it from two atom -> weight maps; :func:`wasserstein_line` calls it on two
-  measures, and :func:`jumpcurv.drift.drift_exact` on the augmented weights
-  of a pair directly, without building the augmented measures;
+  breakpoints of the two supports (:func:`_line_cost`);
 * general metric: an exact linear program on the support-pair cost matrix
   (HiGHS, called through scipy's binding with linprog's options), which
   also yields a vertex plan.
@@ -79,15 +79,13 @@ class TransportPlan:
         return math.fsum(w for _, _, w in self.pairs)
 
 
-def _route(
-    m1: FiniteMeasure, m2: FiniteMeasure, g: GroundMetric, method: str
-) -> str | None:
-    """Validate an equal-mass pair supported inside g and name the route
-    ``method`` selects; None when both measures are empty."""
-    require_equal_mass(m1.mass, m2.mass)
-    for z in m1.atoms + m2.atoms:
+def _route(w1: dict, w2: dict, g: GroundMetric, method: str) -> str | None:
+    """Validate two atom -> weight maps of equal mass supported inside g and
+    name the route ``method`` selects; None when both maps are empty."""
+    require_equal_mass(math.fsum(w1.values()), math.fsum(w2.values()))
+    for z in (*w1, *w2):
         g.check_site(z)
-    if m1.mass == 0.0 and m2.mass == 0.0:
+    if not w1 and not w2:
         return None
     if method == "auto":
         if g.kind == "trivial":
@@ -117,14 +115,7 @@ def wasserstein(
     ``method`` forces a route ("lp", "trivial", "line"); "auto" picks the
     closed form matching the metric kind.  Both measures empty gives 0.
     """
-    route = _route(m1, m2, g, method)
-    if route is None:
-        return 0.0
-    if route == "trivial":
-        return _trivial_distance(m1, m2)
-    if route == "line":
-        return wasserstein_line(m1, m2, g.base_measure)
-    return _lp_solve(m1, m2, g)[0]
+    return _cost(m1.as_dict(), m2.as_dict(), g, method)
 
 
 def wasserstein_line(
@@ -136,10 +127,21 @@ def wasserstein_line(
     between consecutive support points, so the integral is the finite sum of
     gap * mu([t_j, t_{j+1})) over the sorted union of the supports.
     """
-    require_equal_mass(m1.mass, m2.mass)
-    if m1.mass == 0.0 and m2.mass == 0.0:
+    return _cost(m1.as_dict(), m2.as_dict(), GroundMetric.measure_line(mu), "line")
+
+
+def _cost(w1: dict, w2: dict, g: GroundMetric, method: str = "auto") -> float:
+    """W_g between two atom -> weight maps, on the route :func:`_route`
+    picks; 0 when both maps are empty."""
+    route = _route(w1, w2, g, method)
+    if route is None:
         return 0.0
-    return _line_cost(m1.as_dict(), m2.as_dict(), mu)
+    if route == "trivial":
+        atoms = w1.keys() | w2.keys()
+        return 0.5 * math.fsum(abs(w1.get(z, 0.0) - w2.get(z, 0.0)) for z in atoms)
+    if route == "line":
+        return _line_cost(w1, w2, g.base_measure)
+    return _lp_solve(FiniteMeasure.from_dict(w1), FiniteMeasure.from_dict(w2), g)[0]
 
 
 def _line_cost(w1: dict, w2: dict, mu: LineBaseMeasure) -> float:
@@ -159,13 +161,6 @@ def _line_cost(w1: dict, w2: dict, mu: LineBaseMeasure) -> float:
     return total
 
 
-def _trivial_distance(m1: FiniteMeasure, m2: FiniteMeasure) -> float:
-    """Half the L1 distance between weight vectors (largest discrepancy
-    over events, for equal masses)."""
-    atoms = set(m1.atoms) | set(m2.atoms)
-    return 0.5 * math.fsum(abs(m1.weight_at(z) - m2.weight_at(z)) for z in atoms)
-
-
 # ---------------------------------------------------------------------------
 # plans
 # ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ def optimal_plan(
     order, and the LP backend always returns the same vertex for the same
     input.  The plan cost agrees with the distance to 1e-9 relative.
     """
-    route = _route(m1, m2, g, method)
+    route = _route(m1.as_dict(), m2.as_dict(), g, method)
     if route is None:
         return TransportPlan((), 0.0, m1, m2)
     if route == "trivial":

@@ -665,7 +665,7 @@ class TestSimulationCommands:
 
 
 def test_overrides_are_config_fields():
-    assert set(cli._OVERRIDES) <= config._TOP_FIELDS
+    assert set(cli._OVERRIDES) <= set(config.FIELD_TYPES) <= config._TOP_FIELDS
 
 
 _MEASURES = ["--m1", "m1.csv", "--m2", "m2.csv"]
@@ -734,6 +734,28 @@ _COUPLE = ["couple", "--config", "c.json"]
          _COUPLE),
         ({"c.json": json.dumps({"preset": "two-state", "start_pairs": [[0, 1]]})},
          _COUPLE),
+        (
+            {"rates.csv": "rate\n" + "1\n" * 11,
+             "c.json": _bd(b={"kind": "csv", "path": "rates.csv", "column": "bogus"})},
+            _BOUND,
+        ),
+        (
+            {"rates.csv": "rate\n" + "1\n" * 5 + "x\n" + "1\n" * 5,
+             "c.json": _bd(b={"kind": "csv", "path": "rates.csv"})},
+            _BOUND,
+        ),
+        ({"c.json": _bd(b=[1, "x", 1])}, _BOUND),
+        ({"c.json": _bd(b={"kind": "const", "value": "fast"})}, _BOUND),
+        (
+            {"c.json": json.dumps({"model": {"variant": "agents", "n_sites": 3,
+                                             "temperature": "hot",
+                                             "f": {"kind": "zero"}}})},
+            _BOUND,
+        ),
+        ({"c.json": json.dumps({"preset": "agents-uniform", "n_particles": "two"})},
+         _BOUND),
+        ({"c.json": json.dumps({"preset": "two-state", "horizon": "long"})},
+         ["simulate", "--config", "c.json"]),
     ],
     ids=[
         "inline-trivial",
@@ -756,6 +778,13 @@ _COUPLE = ["couple", "--config", "c.json"]
         "top-level-metric",
         "start-pair-one-configuration",
         "start-pair-of-sites",
+        "csv-missing-column",
+        "csv-non-numeric-cell",
+        "rate-list-non-numeric",
+        "const-non-numeric",
+        "temperature-non-numeric",
+        "n-particles-non-numeric",
+        "horizon-non-numeric",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, files, argv):

@@ -24,6 +24,7 @@ from jumpcurv import (
     SingleSiteKernel,
     ValidationError,
     ZeroRangeKernel,
+    ZeroPreference,
     ZeroRangeSpec,
     agents_bound,
     bd_bound,
@@ -217,12 +218,27 @@ class TestSingleEngine:
         assert bx not in interior or by not in interior
 
     def test_unknown_interior_site(self):
-        with pytest.raises(ValidationError, match="unknown sites"):
+        # both engines refuse an interior site outside the metric, with the
+        # same message and before any rate is evaluated, whether or not the
+        # interior also holds known sites
+        with pytest.raises(ValidationError, match=r"unknown sites \[7\]"):
             bound_single(
                 _two_state_kernel(1.0, 1.0),
                 GroundMetric.trivial((1, 2)),
                 interior=(1, 7),
             )
+        spec = AgentsSpec(n_sites=3, temperature=1.0, f=ZeroPreference(), n_particles=2)
+        g = GroundMetric.trivial((0, 1, 2))
+        for interior in ([7], [0, 1, 7]):
+            for engine in (
+                lambda k: bound_single(k, g, interior=interior),
+                lambda k: bound_system(k, g, 2, interior=interior),
+            ):
+                kernel = CountingKernel(AgentsKernel(spec))
+                with pytest.raises(ValidationError) as err:
+                    engine(kernel)
+                assert str(err.value) == "interior contains unknown sites [7]"
+                assert kernel.calls == 0
 
 
 class TestSystemEngine:

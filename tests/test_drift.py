@@ -178,9 +178,10 @@ class TestProperties:
             )
 
 
-def _line_cases():
-    """(name, metric, sites) of every line-metric form the line branch of
-    drift_exact serves."""
+def _metric_cases():
+    """(name, metric, sites) of every metric form drift_exact's transport
+    route serves: the line forms, the trivial metric with and without a
+    declared site list, and a general (LP) metric."""
     K = 8
     base = LineBaseMeasure(
         # unsorted, with two atoms at 2.0 and one at a site between integers
@@ -197,17 +198,29 @@ def _line_cases():
          tuple(range(K + 1))),
         ("euclidean_line", GroundMetric.euclidean_line(), floats),
         ("measure_line", GroundMetric.measure_line(base), floats),
+        ("trivial declared", GroundMetric.trivial(range(6)), tuple(range(6))),
+        ("trivial undeclared", GroundMetric.trivial(), (-3, 0, 1, 2, 5, 11)),
+        ("general", random_metric(rng_for("drift-route-general"), 6), tuple(range(6))),
     ]
 
 
-class TestLineBranch:
-    """drift_exact on line metrics merges the augmented weights itself and
-    runs the line route's CDF walk; it must give the float the augmented
-    measures give through wasserstein, and the LP value to 1e-9."""
+def _outcome(f):
+    """f(), or the type and message of the exception it raises."""
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc), str(exc)
 
-    @pytest.mark.parametrize("case", range(5))
+
+class TestLineBranch:
+    """drift_exact passes the augmented weights of a pair, merged without
+    building the augmented measures, to the transport route; on every
+    metric kind it must give the float the augmented measures give through
+    wasserstein, the LP value to 1e-9, and the same refusals."""
+
+    @pytest.mark.parametrize("case", range(8))
     def test_equals_augmented_wasserstein(self, case):
-        name, g, sites = _line_cases()[case]
+        name, g, sites = _metric_cases()[case]
         rng = rng_for(f"drift-line-branch:{name}")
         zero = FiniteMeasure.zero()
         for trial in range(120):
@@ -235,27 +248,31 @@ class TestLineBranch:
 
     def test_both_empty(self):
         z = FiniteMeasure.zero()
-        for _, g, sites in _line_cases():
+        for _, g, sites in _metric_cases():
             res = drift_exact(sites[1], sites[3], z, z, g)
             assert (res.value, res.augmented_cost) == (0.0, 0.0)
 
     def test_nan_site_rejected(self):
-        m = FiniteMeasure((1.0,), (1.0,))
-        for _, g, _ in _line_cases():
-            with pytest.raises(ValidationError):
-                drift_exact(math.nan, 2.0, m, m, g)
+        # refused as wasserstein refuses the augmented measures, with the
+        # same exception and message; the undeclared trivial metric takes
+        # any hashable site, so there both give the same value
+        m = FiniteMeasure((1,), (1.0,))
+        for _, g, sites in _metric_cases():
+            args = (math.nan, sites[2], m, m)
+            want = _outcome(lambda: wasserstein(*augmented_pair(*args), g))
+            assert g.sites is None and g.kind == "trivial" or want[0] is ValidationError
+            assert _outcome(lambda: drift_exact(*args, g).augmented_cost) == want
 
     def test_mass_mismatch_rejected(self):
         # an infinite weight makes both augmented masses inf, whose
-        # difference is nan: the line branch refuses the pair as wasserstein
+        # difference is nan: drift_exact refuses the pair as wasserstein
         # refuses the augmented measures
         m1 = FiniteMeasure((1,), (math.inf,))
         m2 = FiniteMeasure((2,), (1.0,))
-        for _, g, _ in _line_cases():
-            with pytest.raises(MassMismatchError):
-                wasserstein(*augmented_pair(1, 2, m1, m2), g)
-            with pytest.raises(MassMismatchError):
-                drift_exact(1, 2, m1, m2, g)
+        for _, g, _ in _metric_cases():
+            want = _outcome(lambda: wasserstein(*augmented_pair(1, 2, m1, m2), g))
+            assert want[0] is MassMismatchError
+            assert _outcome(lambda: drift_exact(1, 2, m1, m2, g)) == want
 
 
 class TestDensityClosedForm:
